@@ -1,23 +1,10 @@
 """IT2 fuzzy multi-objective reliability-redundancy allocation toolkit."""
 
-from .fuzzy import (
-    It2Tri,
-    SampledIt2,
-    discretize,
-    eval_membership,
-    generate_it2_tmf,
-    join,
-    meet,
-    negate,
-)
 from .typereduce import (
     CentroidInterval,
     brute_force_centroid,
     centroid_arrays,
-    centroid_interval,
     defuzzify,
-    ekm_left,
-    ekm_right,
 )
 from .datasets import (
     BUNDLED_DATASETS,
@@ -57,24 +44,14 @@ from .sysmodel import (
     IdealBounds,
     MetricSet,
     SystemSpec,
-    aggregate_system_cost,
-    aggregate_system_reliability,
     constraint_violation,
     crisp_metrics,
     dominates,
     evaluate_objectives,
-    extend_system_reliability,
-    fuzzify_objectives,
     is_feasible,
     penalized_fitness,
     scalarize,
-    scalarized_fitness,
-    subsystem_cost_terms,
     subsystem_reliability,
-    system_cost,
-    system_reliability,
-    system_volume,
-    system_weight,
     validate_candidate,
 )
 

@@ -31,7 +31,6 @@ from .sysmodel import (
     MetricSet,
     crisp_metrics,
     dominates,
-    system_weight,
 )
 
 __all__ = ["main"]
@@ -234,7 +233,7 @@ def _cmd_verify(args) -> int:
     print(f"reliability {metrics.reliability!r}")
     print(f"cost        {metrics.cost!r}")
     print(f"weight      {metrics.weight!r} ({args.weight_formula})")
-    print(f"            {system_weight(spec, cand, other)!r} ({other})")
+    print(f"            {crisp_metrics(spec, cand, other).weight!r} ({other})")
     print(f"volume      {metrics.volume!r}")
     failures = 0
     for text in args.expect or []:

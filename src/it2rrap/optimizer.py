@@ -23,7 +23,6 @@ from .sysmodel import (
     constraint_violation,
     crisp_metrics,
     evaluate_objectives,
-    is_feasible,
     penalized_fitness,
     scalarize,
 )
@@ -310,7 +309,8 @@ class _CandidateScorer:
         cand = self.decode(x)
         metrics = crisp_metrics(self.spec, cand, self.weight_variant)
         self.evaluations += 1
-        if is_feasible(self.spec, metrics):
+        violation = constraint_violation(self.spec, metrics)
+        if violation == 0.0:
             objectives = evaluate_objectives(self.spec, cand, self.bounds,
                                              _ReplayDraws(self._draws),
                                              self.grid_size)
@@ -321,9 +321,7 @@ class _CandidateScorer:
             if self.best_feasible is None or raw > self.best_feasible[0]:
                 self.best_feasible = (raw, cand, metrics, objectives)
             return raw
-        score = penalized_fitness(0.0, metrics, self.spec,
-                                  self.worst_feasible)
-        violation = constraint_violation(self.spec, metrics)
+        score = penalized_fitness(violation, self.worst_feasible)
         if self.least_violating is None or violation < self.least_violating[0]:
             self.least_violating = (violation, score, cand, metrics)
         return score

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuzzy import It2Tri, SampledIt2, join, meet, negate
 from .typereduce import CentroidInterval, centroid_arrays, defuzzify
 
 __all__ = [
@@ -39,19 +38,9 @@ __all__ = [
     "IdealBounds",
     "validate_candidate",
     "subsystem_reliability",
-    "system_reliability",
-    "subsystem_cost_terms",
-    "system_cost",
-    "system_weight",
-    "system_volume",
     "crisp_metrics",
-    "fuzzify_objectives",
-    "aggregate_system_reliability",
-    "aggregate_system_cost",
-    "extend_system_reliability",
     "evaluate_objectives",
     "scalarize",
-    "scalarized_fitness",
     "constraint_violation",
     "is_feasible",
     "penalized_fitness",
@@ -115,12 +104,15 @@ class SystemSpec:
                              "sized one-dimensional arrays")
         if self.alpha.size < 1:
             raise ValueError("need at least one sub-system")
+        # NaN compares False with everything, so finiteness is tested apart
         for name in ("alpha", "beta", "weight", "kappa"):
-            if np.any(getattr(self, name) <= 0):
-                raise ValueError(f"{name} entries must be positive")
+            values = getattr(self, name)
+            if not np.all(np.isfinite(values) & (values > 0)):
+                raise ValueError(f"{name} entries must be positive and finite")
         for name in ("mission_hours", "weight_limit", "volume_limit", "cost_limit"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.r_min < self.r_max < 1.0:
             raise ValueError("need 0 < r_min < r_max < 1")
         if not (int(self.n_min) == self.n_min and int(self.n_max) == self.n_max):
@@ -194,7 +186,7 @@ def validate_candidate(spec: SystemSpec, cand: Candidate) -> None:
     if cand.r.size != spec.size:
         raise ValueError(f"candidate has {cand.r.size} sub-systems, "
                          f"spec has {spec.size}")
-    if np.any(cand.r < spec.r_min) or np.any(cand.r > spec.r_max):
+    if not np.all((cand.r >= spec.r_min) & (cand.r <= spec.r_max)):
         raise ValueError(f"reliabilities must lie in "
                          f"[{spec.r_min}, {spec.r_max}]")
     if np.any(cand.n < spec.n_min) or np.any(cand.n > spec.n_max):
@@ -251,38 +243,6 @@ def _cost_terms_matrix(spec: SystemSpec, r: np.ndarray, n: np.ndarray) -> np.nda
             * (n + np.exp(n / 4.0)))
 
 
-def system_reliability(spec: SystemSpec, cand: Candidate) -> float:
-    """Crisp system reliability of ``cand``."""
-    stage = subsystem_reliability(spec.topology, cand.r, cand.n)
-    return float(_system_from_stages(spec.topology, stage))
-
-
-def subsystem_cost_terms(spec: SystemSpec, cand: Candidate) -> np.ndarray:
-    """Per-sub-system cost summands of ``cand``."""
-    return _cost_terms_matrix(spec, cand.r, cand.n)
-
-
-def system_cost(spec: SystemSpec, cand: Candidate) -> float:
-    """Crisp system cost of ``cand``."""
-    return float(np.sum(subsystem_cost_terms(spec, cand)))
-
-
-def system_weight(spec: SystemSpec, cand: Candidate,
-                  weight_variant: str = WEIGHT_DATASET_CONSISTENT) -> float:
-    """Crisp system weight of ``cand`` under the chosen formula variant."""
-    if weight_variant not in _WEIGHT_VARIANTS:
-        raise ValueError(f"unknown weight variant {weight_variant!r}")
-    growth = np.exp(cand.n / 4.0)
-    if weight_variant == WEIGHT_AS_WRITTEN:
-        return float(np.sum(spec.weight * (cand.n + growth)))
-    return float(np.sum(spec.weight * cand.n * growth))
-
-
-def system_volume(spec: SystemSpec, cand: Candidate) -> float:
-    """Crisp system volume of ``cand``."""
-    return float(np.sum(spec.kappa * cand.n ** 2))
-
-
 def crisp_metrics(spec: SystemSpec, cand: Candidate,
                   weight_variant: str = WEIGHT_DATASET_CONSISTENT) -> MetricSet:
     """All four crisp metrics of a validated candidate."""
@@ -303,9 +263,11 @@ def _fuzzify_arrays(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
     per sub-system with columns (umf_left, lmf_left, peak, lmf_right,
     umf_right), and ``cost_hi`` is the upper end of the shared cost grid.
 
-    Draws are consumed sub-system by sub-system, the reliability footprint
-    before the cost one, four uniforms each; this matches a sequence of
-    :func:`~it2rrap.fuzzy.generate_it2_tmf` calls on the same stream.
+    The draws come as one ``rng.random((m, 8))`` block, one row per
+    sub-system: columns 0-3 shape the reliability footprint and 4-7 the cost
+    one, each in the order (lmf_left, umf_left, lmf_right, umf_right).  A
+    draw of 0 leaves a foot on its anchor; a draw of 1 moves an LMF foot
+    onto the peak and a UMF foot onto the end of the support.
 
     The anchor ends are clamped so the crisp peak always lies between them:
     an end the peak falls outside of is moved onto the peak, giving zero
@@ -343,53 +305,9 @@ def _fuzzify_arrays(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
     return rel, cost, cost_hi
 
 
-def fuzzify_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
-                       rng) -> tuple[list[It2Tri], list[It2Tri]]:
-    """Randomised IT2 footprints of every sub-system's reliability and cost.
-
-    Returns ``(reliability_mfs, cost_mfs)``, one entry per sub-system in
-    order.  See :func:`_fuzzify_arrays` for the draw order and the anchor
-    clamping rules.
-    """
-    validate_candidate(spec, cand)
-    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, rng)
-    return ([It2Tri(*row) for row in rel], [It2Tri(*row) for row in cost])
-
-
 # ---------------------------------------------------------------------------
 # aggregation and the fuzzy objective pipeline
 # ---------------------------------------------------------------------------
-
-def aggregate_system_reliability(mfs: list[SampledIt2], topology: str) -> SampledIt2:
-    """Fold sub-system reliability sets into the system set.
-
-    Series composition intersects the sets (meet); parallel paths combine by
-    De Morgan as the complement of the intersection of complements.
-    """
-    if not mfs:
-        raise ValueError("nothing to aggregate")
-    if topology == SERIES_PARALLEL:
-        out = mfs[0]
-        for s in mfs[1:]:
-            out = meet(out, s)
-        return out
-    if topology == PARALLEL_SERIES:
-        out = negate(mfs[0])
-        for s in mfs[1:]:
-            out = meet(out, negate(s))
-        return negate(out)
-    raise ValueError(f"unknown topology {topology!r}")
-
-
-def aggregate_system_cost(mfs: list[SampledIt2]) -> SampledIt2:
-    """Fold sub-system cost sets into the system set (union)."""
-    if not mfs:
-        raise ValueError("nothing to aggregate")
-    out = mfs[0]
-    for s in mfs[1:]:
-        out = join(out, s)
-    return out
-
 
 def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
               right: np.ndarray) -> np.ndarray:
@@ -444,7 +362,16 @@ def _extension_bound(grid: np.ndarray, feet_left: np.ndarray, peaks: np.ndarray,
 
 def _extended_rel(rel: np.ndarray, topology: str,
                   grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper membership of the system reliability set."""
+    """Lower and upper membership of the system reliability set on ``grid``.
+
+    ``rel`` holds one footprint row per sub-system, as built by
+    :func:`_fuzzify_arrays`.  Both bounds come from
+    :func:`_extension_bound` with one ladder level per grid point: the UMF
+    from the outer feet, the LMF from the inner ones.  A footprint too
+    narrow to touch any grid point collapses to a unit spike at the grid
+    point nearest the image of the peaks, so zero-spread inputs stay within
+    half a grid cell of the crisp value.
+    """
     ladder = np.linspace(0.0, 1.0, grid.size)
     upper = _extension_bound(grid, rel[:, 0], rel[:, 2], rel[:, 4],
                              topology, ladder)
@@ -454,28 +381,6 @@ def _extended_rel(rel: np.ndarray, topology: str,
     lower = _extension_bound(grid, rel[:, 1], rel[:, 2], rel[:, 3],
                              topology, ladder)
     return np.minimum(lower, upper), upper
-
-
-def extend_system_reliability(mfs: list[It2Tri], topology: str,
-                              grid: np.ndarray) -> SampledIt2:
-    """System reliability set induced by the layout formula, on ``grid``.
-
-    Both membership bounds are built the same way: cut every sub-system
-    triangle at a ladder of levels (one per grid point), push the cut
-    interval ends through the layout formula, and read the envelope back
-    over ``grid``.  A footprint too narrow to touch any grid point collapses
-    to a unit spike at the grid point nearest the image of the peaks, so
-    zero-spread inputs stay within half a grid cell of the crisp value.
-    """
-    if not mfs:
-        raise ValueError("nothing to aggregate")
-    if topology not in _TOPOLOGIES:
-        raise ValueError(f"unknown topology {topology!r}")
-    params = np.array([[mf.umf_left, mf.lmf_left, mf.peak, mf.lmf_right,
-                        mf.umf_right] for mf in mfs])
-    g = np.asarray(grid, dtype=float)
-    lower, upper = _extended_rel(params, topology, g)
-    return SampledIt2(g, lower, upper)
 
 
 def _joined_cost(cost: np.ndarray,
@@ -503,10 +408,9 @@ def evaluate_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
 
     Runs the full fuzzy pipeline: fuzzify each sub-system, map the
     reliability footprints through the layout formula by cutting them at a
-    ladder of membership levels (the construction behind
-    :func:`extend_system_reliability`), take the union of the cost
-    footprints on a shared grid, then type-reduce each aggregate and return
-    the centroid midpoints.
+    ladder of membership levels (:func:`_extended_rel`), take the union of
+    the cost footprints on a shared grid (:func:`_joined_cost`), then
+    type-reduce each aggregate and return the centroid midpoints.
 
     Footprints too narrow to register on their grid are replaced by unit
     spikes at the nearest grid point, so zero-spread anchors reproduce the
@@ -552,15 +456,6 @@ def scalarize(objectives: tuple[float, float], xi: tuple[float, float],
     return xi1 * y_r - xi2 * (y_c - bounds.c_left) / span
 
 
-def scalarized_fitness(spec: SystemSpec, cand: Candidate,
-                       xi: tuple[float, float], bounds: IdealBounds, rng,
-                       mode: str = FITNESS_NORMALIZED,
-                       grid_size: int = 201) -> float:
-    """Fuzzy pipeline fitness of one candidate; higher is better."""
-    return scalarize(evaluate_objectives(spec, cand, bounds, rng, grid_size),
-                     xi, bounds, mode)
-
-
 # ---------------------------------------------------------------------------
 # constraints, penalties, dominance
 # ---------------------------------------------------------------------------
@@ -577,18 +472,16 @@ def is_feasible(spec: SystemSpec, metrics: MetricSet) -> bool:
     return constraint_violation(spec, metrics) == 0.0
 
 
-def penalized_fitness(raw_fitness: float, metrics: MetricSet, spec: SystemSpec,
+def penalized_fitness(violation: float,
                       worst_feasible_so_far: float | None) -> float:
-    """Constraint-handled fitness; higher is better.
+    """Fitness of an infeasible candidate; higher is better.
 
-    Feasible candidates keep their raw fitness.  Infeasible ones score the
-    worst feasible fitness seen so far (zero before any feasible point is
-    known) minus their total violation, which places them strictly below
-    every feasible score observed so far.
+    The score is the worst feasible fitness seen so far (zero before any
+    feasible point is known) minus the candidate's total constraint
+    violation, which is positive for an infeasible candidate and so places
+    it strictly below every feasible score observed so far.  Feasible
+    candidates keep their raw fitness and never come here.
     """
-    violation = constraint_violation(spec, metrics)
-    if violation == 0.0:
-        return raw_fitness
     base = 0.0 if worst_feasible_so_far is None else worst_feasible_so_far
     return base - violation
 

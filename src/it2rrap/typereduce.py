@@ -5,13 +5,15 @@ a membership value between the lower and upper bound at each grid point gives
 one weighted average of the abscissae, and the centroid interval is the range
 of those averages.  The extremes are attained by switch patterns that use the
 upper bound on one side of a switch index and the lower bound on the other,
-which is what both routines here exploit:
+which is what both routines here exploit.  Both take a strictly increasing
+``grid`` with ``lower``/``upper`` membership arrays on it and return the
+``(left, right)`` endpoints:
 
+* :func:`centroid_arrays` runs the enhanced Karnik-Mendel (EKM) iteration,
+  which starts from a heuristic switch index and converges to the optimal
+  one in a handful of steps; the fuzzy pipeline uses it.
 * :func:`brute_force_centroid` evaluates every switch pattern: exact and
   obviously correct, but linear in patterns; used as the reference.
-* :func:`ekm_left` / :func:`ekm_right` run the enhanced Karnik-Mendel (EKM)
-  iteration, which starts from a heuristic switch index and converges to the
-  optimal one in a handful of steps.
 """
 
 from __future__ import annotations
@@ -20,15 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fuzzy import SampledIt2
-
 __all__ = [
     "CentroidInterval",
     "brute_force_centroid",
-    "ekm_left",
-    "ekm_right",
     "centroid_arrays",
-    "centroid_interval",
     "defuzzify",
 ]
 
@@ -85,8 +82,9 @@ def _support_span(upper: np.ndarray) -> tuple[int, int]:
     return int(positive[0]) + 1, int(positive[-1]) + 1
 
 
-def brute_force_centroid(s: SampledIt2) -> CentroidInterval:
-    """Centroid interval by enumerating every switch pattern.
+def brute_force_centroid(grid: np.ndarray, lower: np.ndarray,
+                         upper: np.ndarray) -> tuple[float, float]:
+    """Both centroid endpoints by enumerating every switch pattern.
 
     For the left endpoint the pattern uses upper membership on the first
     ``k`` points and lower membership after them; for the right endpoint the
@@ -94,7 +92,7 @@ def brute_force_centroid(s: SampledIt2) -> CentroidInterval:
     and the minimum / maximum weighted average over the remaining patterns is
     exact because the centroid extremes occur at such single-switch patterns.
     """
-    x, cum_xu, cum_xl, cum_u, cum_l = _prepared(s.grid, s.lower, s.upper)
+    x, cum_xu, cum_xl, cum_u, cum_l = _prepared(grid, lower, upper)
     n = x.size
 
     # left candidates: upper on the head, lower on the tail
@@ -111,7 +109,7 @@ def brute_force_centroid(s: SampledIt2) -> CentroidInterval:
     mask = den > 0
     right = np.max(num[mask] / den[mask])
 
-    return CentroidInterval(float(left), float(right))
+    return float(left), float(right)
 
 
 # ---------------------------------------------------------------------------
@@ -164,40 +162,14 @@ def _ekm_side(prep, first: int, last: int, side: str) -> tuple[float, int]:
     raise RuntimeError(f"EKM did not converge within {n} iterations")
 
 
-def _ekm_extreme(s: SampledIt2, side: str) -> tuple[float, int]:
-    """One EKM endpoint of ``s``; returns ``(centroid, iterations)``."""
-    prep = _prepared(s.grid, s.lower, s.upper)
-    first, last = _support_span(s.upper)
-    return _ekm_side(prep, first, last, side)
-
-
-def ekm_left(s: SampledIt2) -> float:
-    """Left centroid endpoint via the EKM iteration."""
-    return _ekm_extreme(s, "left")[0]
-
-
-def ekm_right(s: SampledIt2) -> float:
-    """Right centroid endpoint via the EKM iteration."""
-    return _ekm_extreme(s, "right")[0]
-
-
 def centroid_arrays(grid: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> tuple[float, float]:
-    """Both centroid endpoints from raw arrays, sharing one preparation pass.
-
-    Fast path for callers that already hold validated grid and membership
-    arrays; arithmetic is identical to :func:`ekm_left` / :func:`ekm_right`.
-    """
+    """Both centroid endpoints by the EKM iteration, sharing one preparation
+    pass between the two sides."""
     prep = _prepared(grid, lower, upper)
     first, last = _support_span(upper)
     left = _ekm_side(prep, first, last, "left")[0]
     right = _ekm_side(prep, first, last, "right")[0]
     return left, right
-
-
-def centroid_interval(s: SampledIt2) -> CentroidInterval:
-    """Both centroid endpoints of ``s`` as a :class:`CentroidInterval`."""
-    left, right = centroid_arrays(s.grid, s.lower, s.upper)
-    return CentroidInterval(left, right)
 
 
 def defuzzify(ci: CentroidInterval) -> float:

@@ -20,10 +20,10 @@ from it2rrap import (
     anova_f,
     bundled_dataset,
     crisp_metrics,
+    evaluate_objectives,
     genetic_solve,
+    scalarize,
     swarm_solve,
-    system_reliability,
-    system_weight,
     t_test,
 )
 from it2rrap.cli import main
@@ -31,11 +31,10 @@ from it2rrap.sysmodel import (
     WEIGHT_AS_WRITTEN,
     WEIGHT_DATASET_CONSISTENT,
     IdealBounds,
-    scalarized_fitness,
 )
-from it2rrap.typereduce import _ekm_extreme, brute_force_centroid
-from tests.test_fuzzy import zeros_rng
-from tests.test_typereduce import random_sampled
+from it2rrap.typereduce import brute_force_centroid
+from tests.draws import zeros_rng
+from tests.test_typereduce import ekm_with_iterations, random_sampled
 
 # ---------------------------------------------------------------------------
 # reference allocations from the bundled datasets (series-parallel rows
@@ -116,8 +115,8 @@ def test_criterion_03_parallel_series_reference_row():
 
 def test_criterion_04_weight_formula_gap_is_documented():
     spec = bundled_dataset("series-parallel").spec
-    literal = system_weight(spec, SP_ROW_1_1, WEIGHT_AS_WRITTEN)
-    table = system_weight(spec, SP_ROW_1_1, WEIGHT_DATASET_CONSISTENT)
+    literal = crisp_metrics(spec, SP_ROW_1_1, WEIGHT_AS_WRITTEN).weight
+    table = crisp_metrics(spec, SP_ROW_1_1, WEIGHT_DATASET_CONSISTENT).weight
     assert literal == pytest.approx(350.76, abs=0.01)
     assert table == pytest.approx(411.9564, abs=1e-3)
     assert abs(literal - 411.956411) > 60.0
@@ -136,13 +135,12 @@ def test_criterion_05_ekm_matches_brute_force_on_1000_instances():
     rng = np.random.default_rng(424242)
     for _ in range(1000):
         s = random_sampled(rng)
-        n = s.grid.size
+        n = s[0].size
         assert 3 <= n <= 64
-        oracle = brute_force_centroid(s)
-        left, left_iters = _ekm_extreme(s, "left")
-        right, right_iters = _ekm_extreme(s, "right")
-        assert abs(left - oracle.left) <= 1e-9
-        assert abs(right - oracle.right) <= 1e-9
+        oracle_left, oracle_right = brute_force_centroid(*s)
+        (left, left_iters), (right, right_iters) = ekm_with_iterations(*s)
+        assert abs(left - oracle_left) <= 1e-9
+        assert abs(right - oracle_right) <= 1e-9
         assert left_iters <= n and right_iters <= n
     _passed(5, "1000 random footprints: EKM within 1e-9 of the exhaustive "
                "centroid, iterations bounded by grid size")
@@ -161,9 +159,11 @@ def test_criterion_06_crisp_collapse_recovers_crisp_reliability():
             cand = Candidate(
                 rng.uniform(spec.r_min, spec.r_max, spec.size),
                 rng.integers(spec.n_min, spec.n_max + 1, spec.size))
-            fit = scalarized_fitness(spec, cand, (1.0, 0.0), zero_spread,
-                                     zeros_rng(), grid_size=201)
-            assert abs(fit - system_reliability(spec, cand)) <= 1.0 / 200.0
+            objectives = evaluate_objectives(spec, cand, zero_spread,
+                                             zeros_rng(), grid_size=201)
+            fit = scalarize(objectives, (1.0, 0.0), zero_spread)
+            crisp = crisp_metrics(spec, cand).reliability
+            assert abs(fit - crisp) <= 1.0 / 200.0
     _passed(6, "200 random candidates: zero-spread fitness with xi=(1,0) "
                "matches crisp reliability within one grid cell")
 

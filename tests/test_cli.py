@@ -170,6 +170,16 @@ def test_verify_rejects_unknown_metric(capsys):
     assert "unknown metric" in capsys.readouterr().err
 
 
+def test_verify_rejects_nan_reliability(capsys):
+    r = ("nan,0.769185,0.826255,0.755018,0.72388,0.807148,0.765235,"
+         "0.887747,0.875649,0.860357")
+    assert main(["verify", "series-parallel", "--r", r,
+                 "--n", "3,3,3,3,3,3,3,2,2,2"]) == 1
+    captured = capsys.readouterr()
+    assert "reliabilities must lie in" in captured.err
+    assert "reliability nan" not in captured.out
+
+
 def test_verify_applies_weight_formula_choice(capsys):
     assert main(["verify", "parallel-series", "--r", PS_R, "--n", PS_N,
                  "--weight-formula", "as-written",

@@ -182,3 +182,22 @@ def test_spec_validation_still_applies():
     bad = MINI.replace("alpha 2e-05", "alpha 0.0")
     with pytest.raises(ValueError, match="alpha entries must be positive"):
         loads_dataset(bad)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["mission-hours", "weight-limit",
+                                 "volume-limit", "cost-limit",
+                                 "r-min", "r-max"])
+def test_non_finite_scalars_are_rejected(key, value):
+    lines = [line for line in MINI.splitlines()
+             if not line.startswith(key + " ")]
+    text = "\n".join(lines + [f"{key} {value}"]) + "\n"
+    with pytest.raises(ValueError):
+        loads_dataset(text)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_unit_field_is_rejected(value):
+    bad = MINI.replace("alpha 2e-05", f"alpha {value}")
+    with pytest.raises(ValueError, match="alpha entries must be positive"):
+        loads_dataset(bad)

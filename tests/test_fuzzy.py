@@ -1,244 +1,249 @@
-"""Tests for the IT2 triangle type, generation, sampling and set algebra."""
+"""Tests for the fuzzification layer: the footprint rows built from a
+candidate's crisp values, and the triangle sampler and cost union that put
+them on a grid."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2rrap import (
-    It2Tri,
-    SampledIt2,
-    discretize,
-    eval_membership,
-    generate_it2_tmf,
-    join,
-    meet,
-    negate,
+    PARALLEL_SERIES,
+    SERIES_PARALLEL,
+    Candidate,
+    IdealBounds,
+    SystemSpec,
+    bundled_dataset,
+    crisp_metrics,
 )
+from it2rrap.sysmodel import (
+    _extended_rel,
+    _fuzzify_arrays,
+    _joined_cost,
+    _tri_rows,
+)
+from tests.draws import FixedDraws, zeros_rng
 
 
-class FixedDraws:
-    """Stand-in uniform stream yielding preset values."""
-
-    def __init__(self, values):
-        self._values = list(values)
-
-    def random(self, size=None):
-        if size is None:
-            return self._values.pop(0)
-        shape = (size,) if np.isscalar(size) else tuple(size)
-        count = int(np.prod(shape))
-        out = np.array([self._values.pop(0) for _ in range(count)])
-        return out.reshape(shape)
+def one_stage():
+    """One series-parallel stage whose unit of reliability 0.8 gives the
+    stage peak 0.8; the anchors put it inside both intervals."""
+    spec = SystemSpec(SERIES_PARALLEL, 1000.0, [2e-5], [1.5], [1.0], [1.0],
+                      100.0, 100.0, 50.0)
+    cand = Candidate([0.8], [1])
+    bounds = IdealBounds(0.6, 0.9, 5.0, 40.0)
+    return spec, cand, bounds
 
 
-def zeros_rng():
-    class _Zeros:
-        def random(self, size=None):
-            return 0.0 if size is None else np.zeros(size)
-    return _Zeros()
+def sample(grid, row):
+    """Lower and upper membership of one footprint row on ``grid``."""
+    grid = np.asarray(grid, dtype=float)
+    row = np.asarray(row, dtype=float)[None, :]
+    lower = _tri_rows(grid, row[:, 1], row[:, 2], row[:, 3])[0]
+    upper = _tri_rows(grid, row[:, 0], row[:, 2], row[:, 4])[0]
+    return lower, upper
 
 
 # ---------------------------------------------------------------------------
-# It2Tri and eval_membership
+# sampling triangles on a grid
 # ---------------------------------------------------------------------------
-
-def test_it2tri_rejects_unordered_vertices():
-    with pytest.raises(ValueError, match="umf_left <= lmf_left"):
-        It2Tri(0.6, 0.5, 0.8, 0.9, 0.95)
-    with pytest.raises(ValueError, match="umf_left <= lmf_left"):
-        It2Tri(0.5, 0.6, 0.8, 0.95, 0.9)
-    with pytest.raises(ValueError, match="finite"):
-        It2Tri(0.5, 0.6, float("nan"), 0.9, 0.95)
-
 
 def test_eval_membership_hand_values():
-    mf = It2Tri(0.5, 0.6, 0.8, 0.9, 0.95)
-    assert eval_membership(mf, 0.8) == (1.0, 1.0)
-    assert eval_membership(mf, 0.2) == (0.0, 0.0)
-    assert eval_membership(mf, 0.99) == (0.0, 0.0)
-    lo, up = eval_membership(mf, 0.7)
-    assert np.allclose([lo, up], [0.5, 2.0 / 3.0])
+    row = (0.5, 0.6, 0.8, 0.9, 0.95)
+    lo, up = sample([0.2, 0.6, 0.7, 0.8, 0.99], row)
+    assert (lo[3], up[3]) == (1.0, 1.0)
+    assert (lo[0], up[0]) == (0.0, 0.0)
+    assert (lo[4], up[4]) == (0.0, 0.0)
+    assert np.allclose([lo[2], up[2]], [0.5, 2.0 / 3.0])
     # feet evaluate to zero on the lower triangle, partway up the upper one
-    lo, up = eval_membership(mf, 0.6)
-    assert lo == 0.0
-    assert np.isclose(up, 1.0 / 3.0)
+    assert lo[1] == 0.0
+    assert np.isclose(up[1], 1.0 / 3.0)
 
 
 def test_eval_membership_array_input():
-    mf = It2Tri(0.0, 0.25, 0.5, 0.75, 1.0)
-    lo, up = eval_membership(mf, np.array([0.0, 0.5, 1.0]))
-    assert lo.shape == up.shape == (3,)
-    assert np.allclose(lo, [0.0, 1.0, 0.0])
-    assert np.allclose(up, [0.0, 1.0, 0.0])
-    assert np.all(lo <= up)
+    lows = np.array([0.25, 0.0])
+    peaks = np.array([0.5, 0.5])
+    highs = np.array([0.75, 1.0])
+    out = _tri_rows(np.array([0.0, 0.5, 1.0]), lows, peaks, highs)
+    assert out.shape == (2, 3)
+    assert np.allclose(out, [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_eval_membership_degenerate_left_side():
     """A collapsed side is a jump: grade 1 at the shared abscissa only."""
-    mf = It2Tri(0.3, 0.3, 0.3, 0.5, 0.6)
-    assert eval_membership(mf, 0.3) == (1.0, 1.0)
-    assert eval_membership(mf, 0.29) == (0.0, 0.0)
-    lo, up = eval_membership(mf, 0.4)
-    assert np.allclose([lo, up], [0.5, 2.0 / 3.0])
+    lo, up = sample([0.29, 0.3, 0.4], (0.3, 0.3, 0.3, 0.5, 0.6))
+    assert (lo[1], up[1]) == (1.0, 1.0)
+    assert (lo[0], up[0]) == (0.0, 0.0)
+    assert np.allclose([lo[2], up[2]], [0.5, 2.0 / 3.0])
 
 
 def test_eval_membership_point_mass():
-    mf = It2Tri(0.4, 0.4, 0.4, 0.4, 0.4)
-    assert mf.is_crisp
-    assert eval_membership(mf, 0.4) == (1.0, 1.0)
-    assert eval_membership(mf, 0.4000001) == (0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# generate_it2_tmf
-# ---------------------------------------------------------------------------
-
-def test_generate_zero_draws_degenerates_to_type1():
-    mf = generate_it2_tmf(0.8, 0.6, 0.9, (0.0, 1.0), zeros_rng())
-    assert (mf.umf_left, mf.lmf_left) == (0.6, 0.6)
-    assert (mf.lmf_right, mf.umf_right) == (0.9, 0.9)
-    assert mf.peak == 0.8
-
-
-def test_generate_unit_draws_spans_support():
-    mf = generate_it2_tmf(0.8, 0.6, 0.9, (0.0, 1.0), FixedDraws([1.0] * 4))
-    assert (mf.lmf_left, mf.lmf_right) == (0.8, 0.8)
-    assert (mf.umf_left, mf.umf_right) == (0.0, 1.0)
-
-
-def test_generate_half_draws_hand_values():
-    mf = generate_it2_tmf(0.8, 0.6, 0.9, (0.0, 1.0), FixedDraws([0.5] * 4))
-    assert np.allclose(
-        [mf.umf_left, mf.lmf_left, mf.peak, mf.lmf_right, mf.umf_right],
-        [0.3, 0.7, 0.8, 0.85, 0.95])
-
-
-def test_generate_draw_order_is_fixed():
-    """Draws go to lmf_left, umf_left, lmf_right, umf_right in that order."""
-    mf = generate_it2_tmf(0.8, 0.6, 0.9, (0.0, 1.0),
-                          FixedDraws([0.1, 0.2, 0.3, 0.4]))
-    assert np.allclose(
-        [mf.lmf_left, mf.umf_left, mf.lmf_right, mf.umf_right],
-        [0.62, 0.48, 0.87, 0.94])
-
-
-def test_generate_rejects_inconsistent_anchors():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="below left_end"):
-        generate_it2_tmf(0.5, 0.6, 0.9, (0.0, 1.0), rng)
-    with pytest.raises(ValueError, match="above right_end"):
-        generate_it2_tmf(0.95, 0.6, 0.9, (0.0, 1.0), rng)
-    with pytest.raises(ValueError, match="below support start"):
-        generate_it2_tmf(0.5, 0.4, 0.9, (0.45, 1.0), rng)
-    with pytest.raises(ValueError, match="above support end"):
-        generate_it2_tmf(0.5, 0.4, 0.9, (0.0, 0.85), rng)
-
-
-def test_generate_always_yields_valid_nested_triangles():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        a = rng.uniform(-2.0, 0.0)
-        b = rng.uniform(1.0, 3.0)
-        left, peak, right = np.sort(rng.uniform(0.0, 1.0, 3))
-        mf = generate_it2_tmf(peak, left, right, (a, b), rng)
-        assert a <= mf.umf_left <= mf.lmf_left <= mf.peak
-        assert mf.peak <= mf.lmf_right <= mf.umf_right <= b
-
-
-# ---------------------------------------------------------------------------
-# SampledIt2 and discretize
-# ---------------------------------------------------------------------------
-
-def test_sampled_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SampledIt2([0.0, 0.0, 1.0], [0, 0, 0], [1, 1, 1])
-    with pytest.raises(ValueError, match="lower membership exceeds"):
-        SampledIt2([0.0, 1.0], [0.7, 0.2], [0.5, 0.5])
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        SampledIt2([0.0, 1.0], [0.0, 0.0], [1.0, 1.5])
-    with pytest.raises(ValueError, match="size mismatch"):
-        SampledIt2([0.0, 0.5, 1.0], [0.0, 0.0], [1.0, 1.0])
-    with pytest.raises(ValueError, match="at least two"):
-        SampledIt2([0.5], [1.0], [1.0])
+    lo, up = sample([0.3999999, 0.4, 0.4000001], (0.4,) * 5)
+    assert np.array_equal(lo, [0.0, 1.0, 0.0])
+    assert np.array_equal(up, [0.0, 1.0, 0.0])
 
 
 def test_discretize_samples_pointwise():
-    mf = It2Tri(0.0, 0.25, 0.5, 0.75, 1.0)
     grid = np.linspace(0.0, 1.0, 5)
-    s = discretize(mf, grid)
-    lo, up = eval_membership(mf, grid)
-    assert np.array_equal(s.lower, lo)
-    assert np.array_equal(s.upper, up)
-    assert s.lower[2] == s.upper[2] == 1.0  # apex on-grid
+    lo, up = sample(grid, (0.0, 0.25, 0.5, 0.75, 1.0))
+    assert np.array_equal(lo, [0.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(up, [0.0, 0.5, 1.0, 0.5, 0.0])
+    assert lo[2] == up[2] == 1.0  # apex on-grid
 
 
 def test_discretize_requires_covering_grid():
-    mf = It2Tri(0.1, 0.3, 0.5, 0.7, 0.9)
-    with pytest.raises(ValueError, match="does not cover"):
-        discretize(mf, np.linspace(0.2, 1.0, 9))
-    with pytest.raises(ValueError, match="does not cover"):
-        discretize(mf, np.linspace(0.0, 0.8, 9))
+    """The grids the pipeline samples on cover every footprint, so no
+    membership mass falls outside them: reliability rows lie in [0, 1] and
+    cost rows in [0, cost_hi], even with a cost anchor above the limit."""
+    dataset = bundled_dataset("parallel-series")
+    spec = dataset.spec
+    rng = np.random.default_rng(5)
+    for xi in dataset.weight_pairs:
+        bounds = dataset.bounds_for(xi)
+        for _ in range(20):
+            cand = Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
+                             rng.integers(spec.n_min, spec.n_max + 1,
+                                          spec.size))
+            rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, rng)
+            assert np.all(rel[:, 0] >= 0.0) and np.all(rel[:, 4] <= 1.0)
+            assert np.all(cost[:, 0] >= 0.0)
+            assert np.all(cost[:, 4] <= cost_hi)
+            assert cost_hi >= spec.cost_limit
 
 
 # ---------------------------------------------------------------------------
-# meet / join / negate
+# footprint rows from the draws
 # ---------------------------------------------------------------------------
 
-def _pair():
-    g = np.array([0.0, 0.5, 1.0])
-    a = SampledIt2(g, [0.2, 0.6, 0.1], [0.5, 0.8, 0.3])
-    b = SampledIt2(g, [0.4, 0.3, 0.2], [0.6, 0.9, 0.25])
-    return a, b
+def test_generate_zero_draws_degenerates_to_type1():
+    spec, cand, bounds = one_stage()
+    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, zeros_rng())
+    assert np.allclose(rel[0], [0.6, 0.6, 0.8, 0.9, 0.9])
+    c = crisp_metrics(spec, cand).cost
+    assert np.array_equal(cost[0], [5.0, 5.0, c, 40.0, 40.0])
 
 
-def test_meet_join_hand_values():
-    a, b = _pair()
-    m = meet(a, b)
-    assert np.allclose(m.lower, [0.2, 0.3, 0.1])
-    assert np.allclose(m.upper, [0.5, 0.8, 0.25])
-    j = join(a, b)
-    assert np.allclose(j.lower, [0.4, 0.6, 0.2])
-    assert np.allclose(j.upper, [0.6, 0.9, 0.3])
+def test_generate_unit_draws_spans_support():
+    spec, cand, bounds = one_stage()
+    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds,
+                                         FixedDraws([1.0] * 8))
+    assert np.allclose(rel[0], [0.0, 0.8, 0.8, 0.8, 1.0])
+    c = crisp_metrics(spec, cand).cost
+    assert np.allclose(cost[0], [0.0, c, c, c, 50.0])
+    assert cost_hi == 50.0
 
 
-def test_meet_join_require_shared_grid():
-    a, _ = _pair()
-    other = SampledIt2([0.0, 0.4, 1.0], [0, 0, 0], [1, 1, 1])
-    with pytest.raises(ValueError, match="different grids"):
-        meet(a, other)
-    with pytest.raises(ValueError, match="different grids"):
-        join(a, other)
+def test_generate_half_draws_hand_values():
+    spec, cand, bounds = one_stage()
+    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, FixedDraws([0.5] * 8))
+    assert np.allclose(rel[0], [0.3, 0.7, 0.8, 0.85, 0.95])
+    c = crisp_metrics(spec, cand).cost
+    assert np.allclose(cost[0], [2.5, (5.0 + c) / 2, c, (40.0 + c) / 2, 45.0])
 
 
-def test_negate_swaps_bounds_and_is_involutive():
-    a, _ = _pair()
-    n = negate(a)
-    assert np.allclose(n.lower, 1.0 - a.upper)
-    assert np.allclose(n.upper, 1.0 - a.lower)
-    nn = negate(n)
-    assert np.allclose(nn.lower, a.lower)
-    assert np.allclose(nn.upper, a.upper)
+def test_generate_draw_order_is_fixed():
+    """Each row of the draw block goes to lmf_left, umf_left, lmf_right,
+    umf_right of the reliability footprint, then the same of the cost one."""
+    spec, cand, bounds = one_stage()
+    draws = FixedDraws([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, draws)
+    assert np.allclose(rel[0, [1, 0, 3, 4]], [0.62, 0.48, 0.87, 0.94])
+    c = crisp_metrics(spec, cand).cost
+    assert np.allclose(cost[0, [1, 0, 3, 4]],
+                       [5.0 + (c - 5.0) * 0.5, 5.0 * 0.4,
+                        40.0 - (40.0 - c) * 0.7, 40.0 + 10.0 * 0.8])
+
+
+_DATASETS = {name: bundled_dataset(name)
+             for name in ("series-parallel", "parallel-series")}
+_anchor_r = st.floats(0.0, 1.0)
+_anchor_c = st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def _in_box(draw):
+    spec = _DATASETS[draw(st.sampled_from(sorted(_DATASETS)))].spec
+    r = draw(st.lists(st.floats(spec.r_min, spec.r_max),
+                      min_size=spec.size, max_size=spec.size))
+    n = draw(st.lists(st.integers(spec.n_min, spec.n_max),
+                      min_size=spec.size, max_size=spec.size))
+    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                      min_size=8 * spec.size, max_size=8 * spec.size))
+    return spec, Candidate(r, n), u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_in_box(), _anchor_r, _anchor_r, _anchor_c, _anchor_c)
+def test_generate_always_yields_valid_nested_triangles(case, r_left, r_right,
+                                                       c_left, c_right):
+    """For any in-box candidate, any anchors (ordered or not) and any draws,
+    every footprint row is nested around its crisp peak."""
+    spec, cand, u = case
+    bounds = IdealBounds(r_left, r_right, c_left, c_right)
+    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, FixedDraws(u))
+    for rows in (rel, cost):
+        assert np.all(rows[:, 0] <= rows[:, 1])
+        assert np.all(rows[:, 1] <= rows[:, 2])
+        assert np.all(rows[:, 2] <= rows[:, 3])
+        assert np.all(rows[:, 3] <= rows[:, 4])
+    assert np.all(rel[:, 0] >= 0.0) and np.all(rel[:, 4] <= 1.0)
+    assert np.all(cost[:, 0] >= 0.0) and np.all(cost[:, 4] <= cost_hi)
+
+
+# ---------------------------------------------------------------------------
+# the sampled system sets
+# ---------------------------------------------------------------------------
+
+def test_sampled_validation():
+    """The system sets the pipeline type-reduces are valid sampled IT2 sets:
+    0 <= lower <= upper <= 1 at every grid point, with some upper mass."""
+    rng = np.random.default_rng(8)
+    for name, dataset in _DATASETS.items():
+        spec = dataset.spec
+        bounds = dataset.bounds_for(dataset.weight_pairs[0])
+        for _ in range(20):
+            cand = Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
+                             rng.integers(spec.n_min, spec.n_max + 1,
+                                          spec.size))
+            rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, rng)
+            sets = (_extended_rel(rel, spec.topology, np.linspace(0, 1, 201)),
+                    _joined_cost(cost, np.linspace(0.0, cost_hi, 201)))
+            for lower, upper in sets:
+                assert lower.shape == upper.shape == (201,)
+                assert np.all(lower >= 0.0), name
+                assert np.all(lower <= upper), name
+                assert np.all(upper <= 1.0), name
+                assert np.any(upper > 0.0), name
 
 
 def test_set_algebra_properties():
-    """Commutativity, associativity, idempotence, De Morgan on random sets."""
+    """The cost union is a pointwise maximum: commutative, associative and
+    idempotent in the stage rows."""
     rng = np.random.default_rng(7)
-    g = np.linspace(0.0, 1.0, 17)
+    grid = np.linspace(0.0, 10.0, 41)
     for _ in range(50):
-        ups = rng.random((3, 17))
-        los = ups * rng.random((3, 17))
-        a, b, c = (SampledIt2(g, lo, up) for lo, up in zip(los, ups))
-        for op in (meet, join):
-            ab, ba = op(a, b), op(b, a)
-            assert np.array_equal(ab.lower, ba.lower)
-            assert np.array_equal(ab.upper, ba.upper)
-            left = op(op(a, b), c)
-            right = op(a, op(b, c))
-            assert np.array_equal(left.lower, right.lower)
-            assert np.array_equal(left.upper, right.upper)
-            same = op(a, a)
-            assert np.array_equal(same.lower, a.lower)
-            assert np.array_equal(same.upper, a.upper)
-        dm = negate(meet(a, b))
-        jn = join(negate(a), negate(b))
-        assert np.allclose(dm.lower, jn.lower)
-        assert np.allclose(dm.upper, jn.upper)
+        feet = np.sort(rng.uniform(0.0, 10.0, (3, 5)), axis=1)
+        lower, upper = _joined_cost(feet, grid)
+        for order in ([1, 0, 2], [2, 1, 0], [0, 2, 1]):
+            lo, up = _joined_cost(feet[order], grid)
+            assert np.array_equal(lo, lower)
+            assert np.array_equal(up, upper)
+        lo, up = _joined_cost(np.vstack([feet, feet[:1]]), grid)
+        assert np.array_equal(lo, lower)
+        assert np.array_equal(up, upper)
+        parts = [sample(grid, row) for row in feet]
+        assert np.array_equal(lower, np.max([p[0] for p in parts], axis=0))
+        assert np.array_equal(upper, np.max([p[1] for p in parts], axis=0))
+
+
+def test_parallel_series_extension_is_complement_of_series():
+    """De Morgan: the parallel-series image of footprints is the complement
+    of the series-parallel image of their complements, read on the mirrored
+    grid, with the lower and upper bounds keeping their roles."""
+    rng = np.random.default_rng(31)
+    grid = np.linspace(0.0, 1.0, 401)
+    for _ in range(20):
+        rel = np.sort(rng.uniform(0.2, 0.95, (3, 5)), axis=1)
+        lower, upper = _extended_rel(rel, PARALLEL_SERIES, grid)
+        lo_c, up_c = _extended_rel(1.0 - rel[:, ::-1], SERIES_PARALLEL, grid)
+        assert np.allclose(lower, lo_c[::-1], rtol=0, atol=1e-9)
+        assert np.allclose(upper, up_c[::-1], rtol=0, atol=1e-9)

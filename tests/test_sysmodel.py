@@ -11,37 +11,26 @@ from it2rrap import (
     WEIGHT_DATASET_CONSISTENT,
     Candidate,
     IdealBounds,
-    It2Tri,
     MetricSet,
-    SampledIt2,
     SystemSpec,
-    aggregate_system_cost,
-    aggregate_system_reliability,
-    centroid_interval,
     constraint_violation,
     crisp_metrics,
-    defuzzify,
-    discretize,
     dominates,
     evaluate_objectives,
-    extend_system_reliability,
-    fuzzify_objectives,
-    generate_it2_tmf,
     is_feasible,
-    join,
-    meet,
     penalized_fitness,
     scalarize,
-    scalarized_fitness,
-    subsystem_cost_terms,
     subsystem_reliability,
-    system_cost,
-    system_reliability,
-    system_volume,
-    system_weight,
     validate_candidate,
 )
-from tests.test_fuzzy import zeros_rng
+from it2rrap.sysmodel import (
+    _cost_terms_matrix,
+    _extended_rel,
+    _fuzzify_arrays,
+    _joined_cost,
+)
+from tests.draws import zeros_rng
+from tests.test_fuzzy import sample
 
 
 def sp_spec():
@@ -143,6 +132,9 @@ def test_candidate_validation():
         validate_candidate(spec, Candidate([0.2] + [0.9] * 9, [1] * 10))
     with pytest.raises(ValueError, match="redundancy counts"):
         validate_candidate(spec, Candidate([0.9] * 10, [6] + [1] * 9))
+    with pytest.raises(ValueError, match="reliabilities"):
+        validate_candidate(spec, Candidate([float("nan")] + [0.9] * 9,
+                                           [1] * 10))
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +153,28 @@ def test_single_cost_term_frozen_value():
     high-precision arithmetic."""
     spec = SystemSpec(SERIES_PARALLEL, 1000.0, [2e-5], [1.5], [1.0], [1.0],
                       100.0, 100.0, 100.0)
-    terms = subsystem_cost_terms(spec, Candidate([0.9], [2]))
+    cand = Candidate([0.9], [2])
+    terms = _cost_terms_matrix(spec, cand.r, cand.n)
     assert np.isclose(terms[0], 67.47670278989535, rtol=1e-12)
+    assert crisp_metrics(spec, cand).cost == terms[0]
 
 
 def test_weight_variant_hand_values():
     spec = SystemSpec(SERIES_PARALLEL, 1000.0, [1e-5, 1e-5], [1.5, 1.5],
                       [2.0, 3.0], [1.0, 1.0], 100.0, 100.0, 100.0)
     cand = Candidate([0.9, 0.9], [1, 2])
-    assert system_weight(spec, cand, WEIGHT_AS_WRITTEN) == pytest.approx(
-        15.514214645475867, rel=1e-12)
-    assert system_weight(spec, cand, WEIGHT_DATASET_CONSISTENT) == pytest.approx(
-        12.460378457576252, rel=1e-12)
+    assert crisp_metrics(spec, cand, WEIGHT_AS_WRITTEN).weight == \
+        pytest.approx(15.514214645475867, rel=1e-12)
+    assert crisp_metrics(spec, cand, WEIGHT_DATASET_CONSISTENT).weight == \
+        pytest.approx(12.460378457576252, rel=1e-12)
     with pytest.raises(ValueError, match="unknown weight variant"):
-        system_weight(spec, cand, "bogus")
+        crisp_metrics(spec, cand, "bogus")
 
 
 def test_volume_hand_value():
     spec = SystemSpec(SERIES_PARALLEL, 1000.0, [1e-5, 1e-5], [1.5, 1.5],
                       [2.0, 3.0], [4.0, 5.0], 100.0, 100.0, 100.0)
-    assert system_volume(spec, Candidate([0.9, 0.9], [2, 3])) == 61.0
+    assert crisp_metrics(spec, Candidate([0.9, 0.9], [2, 3])).volume == 61.0
 
 
 def test_series_parallel_reference_allocation():
@@ -213,8 +207,8 @@ def test_as_written_weight_differs_from_reference_value():
     """The literal weight formula does not reproduce the bundled reference
     weight; the dataset-consistent variant does, hence the default."""
     spec = sp_spec()
-    w_lit = system_weight(spec, SP_REFERENCE, WEIGHT_AS_WRITTEN)
-    w_dc = system_weight(spec, SP_REFERENCE, WEIGHT_DATASET_CONSISTENT)
+    w_lit = crisp_metrics(spec, SP_REFERENCE, WEIGHT_AS_WRITTEN).weight
+    w_dc = crisp_metrics(spec, SP_REFERENCE, WEIGHT_DATASET_CONSISTENT).weight
     assert w_lit == pytest.approx(350.76070505699954, rel=1e-12)
     assert w_dc == pytest.approx(411.956411, abs=1e-3)
     assert abs(w_lit - 411.956411) > 60.0
@@ -236,17 +230,21 @@ def test_reliability_monotone_in_r_and_n():
     rng = np.random.default_rng(11)
     for spec in (sp_spec(), ps_spec()):
         m = spec.size
+
+        def reliability(r, n):
+            return crisp_metrics(spec, Candidate(r, n)).reliability
+
         for _ in range(25):
             r = rng.uniform(0.55, 0.95, m)
             n = rng.integers(1, 5, m)
-            base = system_reliability(spec, Candidate(r, n))
+            base = reliability(r, n)
             i = int(rng.integers(m))
             r_up = r.copy()
             r_up[i] += 0.02
-            assert system_reliability(spec, Candidate(r_up, n)) > base
+            assert reliability(r_up, n) > base
             n_up = n.copy()
             n_up[i] += 1
-            bumped = system_reliability(spec, Candidate(r, n_up))
+            bumped = reliability(r, n_up)
             if spec.topology == SERIES_PARALLEL:
                 assert bumped > base
             else:
@@ -257,113 +255,99 @@ def test_cost_monotone_in_r():
     spec = sp_spec()
     r = np.full(10, 0.8)
     n = np.full(10, 2)
-    base = system_cost(spec, Candidate(r, n))
+    base = crisp_metrics(spec, Candidate(r, n)).cost
     r[0] = 0.9
-    assert system_cost(spec, Candidate(r, n)) > base
+    assert crisp_metrics(spec, Candidate(r, n)).cost > base
 
 
 # ---------------------------------------------------------------------------
 # fuzzification
 # ---------------------------------------------------------------------------
 
+def footprint(peak, left, right, high, u):
+    """One footprint row around ``peak`` on the support ``[0, high]`` from
+    four draws in the order (lmf_left, umf_left, lmf_right, umf_right)."""
+    return [left - left * u[1], left + (peak - left) * u[0], peak,
+            right - (right - peak) * u[2], right + (high - right) * u[3]]
+
+
 def test_fuzzify_matches_sequential_generation():
-    """The bundled fuzzifier consumes the stream exactly like per-footprint
-    generator calls: sub-system by sub-system, reliability before cost."""
+    """The fuzzifier builds the footprints one sub-system after another,
+    each from its own row of draws, reliability before cost."""
     spec, bounds = sp_spec(), sp_bounds()
     cand = SP_REFERENCE
-    rel_a, cost_a = fuzzify_objectives(spec, cand, bounds,
-                                       np.random.default_rng(99))
-    rng = np.random.default_rng(99)
+    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds,
+                                         np.random.default_rng(99))
+    draws = np.random.default_rng(99).random((spec.size, 8))
     stages = subsystem_reliability(spec.topology, cand.r, cand.n)
-    terms = subsystem_cost_terms(spec, cand)
+    terms = _cost_terms_matrix(spec, cand.r, cand.n)
     for i in range(spec.size):
         p = float(stages[i])
-        want = generate_it2_tmf(p, min(bounds.r_left, p),
-                                max(bounds.r_right, p), (0.0, 1.0), rng)
-        assert rel_a[i] == want
+        want = footprint(p, min(bounds.r_left, p), max(bounds.r_right, p),
+                         1.0, draws[i, :4])
+        assert np.array_equal(rel[i], want)
         c = float(terms[i])
         left = min(bounds.c_left, c)
         right = max(bounds.c_right, c)
-        want = generate_it2_tmf(c, left, right,
-                                (0.0, max(spec.cost_limit, right)), rng)
-        assert cost_a[i] == want
+        want = footprint(c, left, right, max(spec.cost_limit, right),
+                         draws[i, 4:])
+        assert np.array_equal(cost[i], want)
+    assert cost_hi == max(spec.cost_limit, cost[:, 4].max())
 
 
 def test_fuzzify_clamps_peak_outside_anchors():
     spec, bounds = sp_spec(), sp_bounds()
     cand = Candidate([0.95] * 10, [3] * 10)  # stage reliabilities ~0.9999
-    rel, _ = fuzzify_objectives(spec, cand, bounds, zeros_rng())
+    rel, _, _ = _fuzzify_arrays(spec, cand, bounds, zeros_rng())
     stages = subsystem_reliability(spec.topology, cand.r, cand.n)
-    for mf, p in zip(rel, stages):
-        assert mf.lmf_right == mf.umf_right == mf.peak == pytest.approx(float(p))
-        assert mf.lmf_left == bounds.r_left  # left anchor kept
+    for (umf_left, lmf_left, peak, lmf_right, umf_right), p in zip(rel, stages):
+        assert lmf_right == umf_right == peak == pytest.approx(float(p))
+        assert lmf_left == bounds.r_left  # left anchor kept
 
 
 def test_fuzzify_supports_cost_anchor_above_limit():
     """A cost anchor beyond the cost limit stretches the support; the
     footprint must stay inside it instead of failing."""
     spec, bounds = ps_spec(), ps_bounds()  # c_right 180 > cost_limit 175
-    rel, cost = fuzzify_objectives(spec, PS_REFERENCE, bounds,
-                                   np.random.default_rng(5))
+    _, cost, cost_hi = _fuzzify_arrays(spec, PS_REFERENCE, bounds,
+                                       np.random.default_rng(5))
     # every cost term sits below the 180 anchor, so the clamped right end is
     # the anchor itself and the widened support pins the upper foot there
-    for mf in cost:
-        assert mf.umf_right == 180.0
-        assert mf.umf_right > spec.cost_limit
+    assert np.all(cost[:, 4] == 180.0)
+    assert cost_hi == 180.0 > spec.cost_limit
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# the cost union
 # ---------------------------------------------------------------------------
 
 def test_aggregate_single_set_is_identity():
-    g = np.linspace(0.0, 1.0, 9)
-    s = SampledIt2(g, np.full(9, 0.2), np.full(9, 0.6))
-    out = aggregate_system_reliability([s], SERIES_PARALLEL)
-    assert np.array_equal(out.lower, s.lower)
-    assert np.array_equal(out.upper, s.upper)
-    # the chained layout complements twice, exact only up to rounding
-    out = aggregate_system_reliability([s], PARALLEL_SERIES)
-    assert np.allclose(out.lower, s.lower, rtol=0, atol=1e-15)
-    assert np.allclose(out.upper, s.upper, rtol=0, atol=1e-15)
-    out = aggregate_system_cost([s])
-    assert np.array_equal(out.upper, s.upper)
-
-
-def test_aggregate_series_parallel_is_pointwise_meet():
-    g = np.array([0.0, 1.0])
-    a = SampledIt2(g, [0.2, 0.6], [0.5, 0.8])
-    b = SampledIt2(g, [0.4, 0.3], [0.6, 0.9])
-    out = aggregate_system_reliability([a, b], SERIES_PARALLEL)
-    ref = meet(a, b)
-    assert np.array_equal(out.lower, ref.lower)
-    assert np.array_equal(out.upper, ref.upper)
-
-
-def test_aggregate_parallel_series_de_morgan_hand_case():
-    g = np.array([0.0, 1.0])
-    a = SampledIt2(g, [0.2, 0.6], [0.5, 0.8])
-    b = SampledIt2(g, [0.4, 0.3], [0.6, 0.9])
-    out = aggregate_system_reliability([a, b], PARALLEL_SERIES)
-    assert np.allclose(out.lower, [0.4, 0.6])
-    assert np.allclose(out.upper, [0.6, 0.9])
-    ref = join(a, b)  # complement-of-meet-of-complements equals the union
-    assert np.allclose(out.lower, ref.lower)
-    assert np.allclose(out.upper, ref.upper)
+    """One stage's cost footprint is its own union."""
+    grid = np.linspace(0.0, 10.0, 41)
+    row = [2.0, 3.5, 5.0, 6.0, 9.0]
+    assert np.array_equal(_joined_cost(np.array([row]), grid),
+                          sample(grid, row))
 
 
 def test_aggregate_cost_is_pointwise_join():
-    g = np.array([0.0, 0.5, 1.0])
-    a = SampledIt2(g, [0.1, 0.5, 0.0], [0.2, 0.9, 0.1])
-    b = SampledIt2(g, [0.3, 0.2, 0.05], [0.4, 0.6, 0.3])
-    out = aggregate_system_cost([a, b])
-    assert np.allclose(out.lower, [0.3, 0.5, 0.05])
-    assert np.allclose(out.upper, [0.4, 0.9, 0.3])
+    grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    rows = np.array([[0.0, 1.0, 2.0, 3.0, 4.0],
+                     [1.0, 2.0, 3.0, 4.0, 4.0]])
+    lower, upper = _joined_cost(rows, grid)
+    assert np.allclose(lower, [0.0, 0.0, 1.0, 1.0, 0.0])
+    assert np.allclose(upper, [0.0, 0.5, 1.0, 1.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
 # the layout extension construction
 # ---------------------------------------------------------------------------
+
+def random_footprint(rng, peak, spread_lo, spread_hi):
+    """Footprint row on [0, 1] with anchors a random spread around ``peak``."""
+    return footprint(peak, peak - rng.uniform(spread_lo, spread_hi),
+                     min(1.0, peak + rng.uniform(spread_lo, spread_hi)),
+                     1.0, rng.random(4))
+
 
 def test_extend_single_stage_is_identity():
     """With one stage the layout formula is the identity, so the extension
@@ -372,23 +356,18 @@ def test_extend_single_stage_is_identity():
     grid = np.linspace(0.0, 1.0, 201)
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
         for _ in range(10):
-            peak = rng.uniform(0.4, 0.9)
-            mf = generate_it2_tmf(peak, peak - rng.uniform(0.05, 0.2),
-                                  min(1.0, peak + rng.uniform(0.05, 0.2)),
-                                  (0.0, 1.0), rng)
-            out = extend_system_reliability([mf], topology, grid)
-            ref = discretize(mf, grid)
-            assert np.allclose(out.lower, ref.lower, rtol=0, atol=1e-12)
-            assert np.allclose(out.upper, ref.upper, rtol=0, atol=1e-12)
+            row = random_footprint(rng, rng.uniform(0.4, 0.9), 0.05, 0.2)
+            out = _extended_rel(np.array([row]), topology, grid)
+            assert np.allclose(out, sample(grid, row), rtol=0, atol=1e-12)
 
 
 def test_extend_two_stage_product_matches_quadratic_inversion():
     """For two chained stages each flank of the image solves a quadratic in
     the cut level; inverting it analytically reproduces the membership."""
-    mf1 = It2Tri(0.55, 0.6, 0.7, 0.78, 0.82)
-    mf2 = It2Tri(0.6, 0.65, 0.75, 0.8, 0.85)
+    mf1 = (0.55, 0.6, 0.7, 0.78, 0.82)
+    mf2 = (0.6, 0.65, 0.75, 0.8, 0.85)
     grid = np.linspace(0.0, 1.0, 201)
-    out = extend_system_reliability([mf1, mf2], SERIES_PARALLEL, grid)
+    lower, upper = _extended_rel(np.array([mf1, mf2]), SERIES_PARALLEL, grid)
 
     def rising_level(y, l1, p1, l2, p2):
         d1, d2 = p1 - l1, p2 - l2
@@ -401,58 +380,57 @@ def test_extend_two_stage_product_matches_quadratic_inversion():
         return (b - np.sqrt(b * b - 4 * e1 * e2 * c)) / (2 * e1 * e2)
 
     for y in (0.35, 0.40, 0.45, 0.50):  # umf rising flank: (0.33, 0.525)
-        want = rising_level(y, mf1.umf_left, mf1.peak, mf2.umf_left, mf2.peak)
-        assert out.upper[round(y * 200)] == pytest.approx(want, abs=1e-4)
+        want = rising_level(y, mf1[0], mf1[2], mf2[0], mf2[2])
+        assert upper[round(y * 200)] == pytest.approx(want, abs=1e-4)
     for y in (0.55, 0.60, 0.65):  # umf falling flank: (0.525, 0.697)
-        want = falling_level(y, mf1.umf_right, mf1.peak, mf2.umf_right, mf2.peak)
-        assert out.upper[round(y * 200)] == pytest.approx(want, abs=1e-4)
+        want = falling_level(y, mf1[4], mf1[2], mf2[4], mf2[2])
+        assert upper[round(y * 200)] == pytest.approx(want, abs=1e-4)
     for y in (0.42, 0.48):  # lmf rising flank: (0.39, 0.525)
-        want = rising_level(y, mf1.lmf_left, mf1.peak, mf2.lmf_left, mf2.peak)
-        assert out.lower[round(y * 200)] == pytest.approx(want, abs=1e-4)
+        want = rising_level(y, mf1[1], mf1[2], mf2[1], mf2[2])
+        assert lower[round(y * 200)] == pytest.approx(want, abs=1e-4)
 
 
 def test_extend_parallel_series_two_stage_hand_case():
     """Two redundant paths: the image support and apex are the mapped feet
     and the crisp redundancy formula over the peaks."""
-    mf1 = It2Tri(0.3, 0.35, 0.4, 0.5, 0.55)
-    mf2 = It2Tri(0.45, 0.5, 0.6, 0.65, 0.7)
+    rows = np.array([[0.3, 0.35, 0.4, 0.5, 0.55],
+                     [0.45, 0.5, 0.6, 0.65, 0.7]])
     grid = np.linspace(0.0, 1.0, 2001)
-    out = extend_system_reliability([mf1, mf2], PARALLEL_SERIES, grid)
+    _, upper = _extended_rel(rows, PARALLEL_SERIES, grid)
     lo_foot = 1.0 - (1.0 - 0.3) * (1.0 - 0.45)   # 0.615
     hi_foot = 1.0 - (1.0 - 0.55) * (1.0 - 0.7)   # 0.865
     apex = 1.0 - (1.0 - 0.4) * (1.0 - 0.6)       # 0.76
-    occupied = out.grid[out.upper > 0]
+    occupied = grid[upper > 0]
     assert occupied.min() >= lo_foot - 1e-12
     assert occupied.max() <= hi_foot + 1e-12
-    inside = (out.grid > lo_foot + 1e-9) & (out.grid < hi_foot - 1e-9)
-    assert np.all(out.upper[inside] > 0)
-    assert out.grid[np.argmax(out.upper)] == pytest.approx(apex, abs=1.0 / 2000)
-    assert out.upper.max() == pytest.approx(1.0, abs=5e-3)
+    inside = (grid > lo_foot + 1e-9) & (grid < hi_foot - 1e-9)
+    assert np.all(upper[inside] > 0)
+    assert grid[np.argmax(upper)] == pytest.approx(apex, abs=1.0 / 2000)
+    assert upper.max() == pytest.approx(1.0, abs=5e-3)
 
 
 def test_extend_zero_spread_snaps_to_nearest_grid_point():
-    spikes = [It2Tri(0.7003, 0.7003, 0.7003, 0.7003, 0.7003),
-              It2Tri(0.8001, 0.8001, 0.8001, 0.8001, 0.8001)]
+    spikes = np.array([[0.7003] * 5, [0.8001] * 5])
     grid = np.linspace(0.0, 1.0, 201)
-    out = extend_system_reliability(spikes, SERIES_PARALLEL, grid)
+    lower, upper = _extended_rel(spikes, SERIES_PARALLEL, grid)
     want = 0.7003 * 0.8001
     idx = int(np.argmin(np.abs(grid - want)))
-    assert out.upper[idx] == 1.0
-    assert out.lower[idx] == 1.0
-    assert np.count_nonzero(out.upper) == 1
+    assert upper[idx] == 1.0
+    assert lower[idx] == 1.0
+    assert np.count_nonzero(upper) == 1
     assert abs(grid[idx] - want) <= 0.5 / 200
 
 
 def test_extend_is_order_invariant():
     rng = np.random.default_rng(13)
     grid = np.linspace(0.0, 1.0, 201)
-    mfs = [generate_it2_tmf(p, p - 0.1, min(1.0, p + 0.1), (0.0, 1.0), rng)
-           for p in rng.uniform(0.5, 0.9, 4)]
+    rows = np.array([footprint(p, p - 0.1, min(1.0, p + 0.1), 1.0,
+                               rng.random(4))
+                     for p in rng.uniform(0.5, 0.9, 4)])
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
-        a = extend_system_reliability(mfs, topology, grid)
-        b = extend_system_reliability(mfs[::-1], topology, grid)
-        assert np.allclose(a.lower, b.lower, rtol=0, atol=1e-12)
-        assert np.allclose(a.upper, b.upper, rtol=0, atol=1e-12)
+        a = _extended_rel(rows, topology, grid)
+        b = _extended_rel(rows[::-1], topology, grid)
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_extend_bounds_are_unimodal_and_nested():
@@ -460,56 +438,57 @@ def test_extend_bounds_are_unimodal_and_nested():
     grid = np.linspace(0.0, 1.0, 401)
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
         for _ in range(10):
-            mfs = [generate_it2_tmf(p, p - rng.uniform(0.02, 0.15),
-                                    min(1.0, p + rng.uniform(0.02, 0.15)),
-                                    (0.0, 1.0), rng)
-                   for p in rng.uniform(0.45, 0.95, 3)]
-            out = extend_system_reliability(mfs, topology, grid)
-            assert np.all(out.lower <= out.upper)
-            for side in (out.lower, out.upper):
+            rows = np.array([random_footprint(rng, p, 0.02, 0.15)
+                             for p in rng.uniform(0.45, 0.95, 3)])
+            lower, upper = _extended_rel(rows, topology, grid)
+            assert np.all(lower <= upper)
+            for side in (lower, upper):
                 k = int(np.argmax(side))
                 assert np.all(np.diff(side[: k + 1]) >= -1e-12)
                 assert np.all(np.diff(side[k:]) <= 1e-12)
 
 
 def test_extend_validation():
-    grid = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match="nothing to aggregate"):
-        extend_system_reliability([], SERIES_PARALLEL, grid)
-    mf = It2Tri(0.2, 0.3, 0.5, 0.7, 0.8)
+    """The extension reads one footprint row per sub-system under the
+    spec's layout; both are checked before any row is built."""
     with pytest.raises(ValueError, match="unknown topology"):
-        extend_system_reliability([mf], "ring", grid)
+        SystemSpec("ring", 1000.0, [1e-5], [1.5], [1.0], [1.0], 1, 1, 1)
+    with pytest.raises(ValueError, match="sub-systems"):
+        evaluate_objectives(sp_spec(), PS_REFERENCE, sp_bounds(),
+                            np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
 # the fuzzy objective pipeline
 # ---------------------------------------------------------------------------
 
-def _composed_objectives(spec, cand, bounds, rng, grid_size=201):
-    """Reference pipeline built from the public pieces only."""
-    rel_mfs, cost_mfs = fuzzify_objectives(spec, cand, bounds, rng)
-    rel_grid = np.linspace(0.0, 1.0, grid_size)
-    y_r = defuzzify(centroid_interval(
-        extend_system_reliability(rel_mfs, spec.topology, rel_grid)))
-    hi = max(spec.cost_limit, max(mf.umf_right for mf in cost_mfs))
-    cost_grid = np.linspace(0.0, hi, grid_size)
-    cost_s = [discretize(mf, cost_grid) for mf in cost_mfs]
-    y_c = defuzzify(centroid_interval(aggregate_system_cost(cost_s)))
-    return y_r, y_c
+# evaluate_objectives(spec, cand, bounds, default_rng(seed), 201) for seeds
+# 0-4, recorded while a second, object-based composition of the fuzzify /
+# extend / union / type-reduce steps still existed and agreed to 1e-12
+GOLDEN_OBJECTIVES = {
+    "sp": [(0.5234615127859894, 169.36815518439863),
+           (0.5471817775951878, 166.08823849121046),
+           (0.5253986950935101, 160.43596044045398),
+           (0.5551966482638803, 162.89622333264242),
+           (0.5668090458311086, 160.41660549816015)],
+    "ps": [(0.8531524497790552, 59.37146114885482),
+           (0.8846034292690765, 62.417867090587286),
+           (0.8415506310454397, 67.44893143676731),
+           (0.8816777727795788, 64.90110587533579),
+           (0.8572085649562253, 62.72516486136549)],
+}
 
 
-@pytest.mark.parametrize("make_spec,make_bounds,cand", [
-    (sp_spec, sp_bounds, SP_REFERENCE),
-    (ps_spec, ps_bounds, PS_REFERENCE),
-])
-def test_pipeline_equals_composition_of_public_ops(make_spec, make_bounds, cand):
+@pytest.mark.parametrize("name,make_spec,make_bounds,cand", [
+    ("sp", sp_spec, sp_bounds, SP_REFERENCE),
+    ("ps", ps_spec, ps_bounds, PS_REFERENCE),
+], ids=["sp", "ps"])
+def test_pipeline_golden_values(name, make_spec, make_bounds, cand):
     spec, bounds = make_spec(), make_bounds()
-    for seed in range(5):
-        fast = evaluate_objectives(spec, cand, bounds,
-                                   np.random.default_rng(seed))
-        slow = _composed_objectives(spec, cand, bounds,
-                                    np.random.default_rng(seed))
-        assert np.allclose(fast, slow, rtol=0, atol=1e-12)
+    got = [evaluate_objectives(spec, cand, bounds, np.random.default_rng(seed),
+                               201)
+           for seed in range(5)]
+    assert got == GOLDEN_OBJECTIVES[name]
 
 
 def test_pipeline_is_deterministic_per_seed():
@@ -526,11 +505,11 @@ def test_crisp_collapse_reproduces_crisp_reliability():
     system reliability (the collapsed set snaps to the nearest grid point)."""
     for spec, cand in ((sp_spec(), SP_REFERENCE), (ps_spec(), PS_REFERENCE)):
         y_r, y_c = evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng())
-        assert y_r == pytest.approx(system_reliability(spec, cand),
+        assert y_r == pytest.approx(crisp_metrics(spec, cand).reliability,
                                     abs=0.5 / 200 + 1e-12)
         # collapsed cost spikes snap per stage and stages in the same grid
         # cell merge under the union, so only containment is guaranteed
-        terms = subsystem_cost_terms(spec, cand)
+        terms = _cost_terms_matrix(spec, cand.r, cand.n)
         cell = spec.cost_limit / 200
         assert min(terms) - 0.5 * cell <= y_c <= max(terms) + 0.5 * cell
 
@@ -552,7 +531,7 @@ def test_crisp_collapse_cost_mean_of_separated_stages():
     spec = SystemSpec(SERIES_PARALLEL, 1000.0, [2e-5, 8e-5], [1.5, 1.5],
                       [1.0, 1.0], [1.0, 1.0], 1000.0, 1000.0, 1000.0)
     cand = Candidate([0.9, 0.8], [2, 3])
-    terms = subsystem_cost_terms(spec, cand)
+    terms = _cost_terms_matrix(spec, cand.r, cand.n)
     cell = 1000.0 / 200
     assert abs(terms[1] - terms[0]) > 2 * cell
     _, y_c = evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng())
@@ -591,23 +570,16 @@ def test_scalarize_validation():
     assert scalarize((0.7, 300.0), (1.0, 0.0), degenerate) == pytest.approx(0.7)
 
 
-def test_scalarized_fitness_composes():
-    spec, bounds = sp_spec(), sp_bounds()
-    got = scalarized_fitness(spec, SP_REFERENCE, (1.0, 1.0), bounds,
-                             np.random.default_rng(12))
-    y = evaluate_objectives(spec, SP_REFERENCE, bounds, np.random.default_rng(12))
-    assert got == pytest.approx(scalarize(y, (1.0, 1.0), bounds), rel=1e-15)
-
-
 def test_penalty_hand_values():
     spec = sp_spec()
     feasible = MetricSet(0.9, 400.0, 480.0, 280.0)
     assert constraint_violation(spec, feasible) == 0.0
-    assert penalized_fitness(0.55, feasible, spec, 0.3) == 0.55
+    assert is_feasible(spec, feasible)
     over = MetricSet(0.9, 400.0, 498.0, 280.0)  # 15 over the weight limit
-    assert constraint_violation(spec, over) == pytest.approx(15.0)
-    assert penalized_fitness(0.9, over, spec, 0.3) == pytest.approx(-14.7)
-    assert penalized_fitness(0.9, over, spec, None) == pytest.approx(-15.0)
+    violation = constraint_violation(spec, over)
+    assert violation == pytest.approx(15.0)
+    assert penalized_fitness(violation, 0.3) == pytest.approx(-14.7)
+    assert penalized_fitness(violation, None) == pytest.approx(-15.0)
     both = MetricSet(0.9, 400.0, 493.0, 291.0)
     assert constraint_violation(spec, both) == pytest.approx(12.0)
     assert not is_feasible(spec, both)
@@ -618,7 +590,8 @@ def test_cost_limit_joins_the_constraint_set():
     over = MetricSet(0.95, 578.0, 480.0, 280.0)
     assert constraint_violation(spec, over) == pytest.approx(25.0)
     assert not is_feasible(spec, over)
-    assert penalized_fitness(0.9, over, spec, 0.3) == pytest.approx(-24.7)
+    assert penalized_fitness(constraint_violation(spec, over), 0.3) == \
+        pytest.approx(-24.7)
 
 
 def test_infeasible_scores_below_observed_feasible():
@@ -629,12 +602,11 @@ def test_infeasible_scores_below_observed_feasible():
         w = rng.uniform(400.0, 700.0)
         v = rng.uniform(200.0, 400.0)
         m = MetricSet(0.9, 400.0, w, v)
-        raw = rng.uniform(-1.0, 1.0)
-        score = penalized_fitness(raw, m, spec, worst)
-        if is_feasible(spec, m):
-            assert score == raw
-        else:
-            assert score < worst
+        violation = constraint_violation(spec, m)
+        assert is_feasible(spec, m) == (violation == 0.0)
+        if violation > 0.0:
+            assert penalized_fitness(violation, worst) < worst
+            assert penalized_fitness(violation, None) < 0.0
 
 
 def test_dominates_hand_cases():

@@ -2,7 +2,6 @@
 
 from .typereduce import (
     CentroidInterval,
-    brute_force_centroid,
     centroid_arrays,
     defuzzify,
 )

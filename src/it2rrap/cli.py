@@ -73,7 +73,7 @@ def _parse_seeds(text: str) -> List[int]:
 
 
 def _parse_floats(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok != ""]
+    return [float(tok) for tok in text.split(",")]
 
 
 def _open_dataset(name: str) -> Dataset:

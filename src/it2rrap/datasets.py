@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, Tuple
 
-from .sysmodel import IdealBounds, SystemSpec
+from .sysmodel import IdealBounds, SystemSpec, checked_weights
 
 __all__ = [
     "BUNDLED_DATASETS",
@@ -104,7 +104,11 @@ def _parse_bounds(tokens, line_no, bounds):
     if len(tokens) != 9 or tokens[3] != "r" or tokens[6] != "c":
         _fail(line_no, "bounds rows read:"
                        " bounds XI1 XI2 r LEFT RIGHT c LEFT RIGHT")
-    xi = (_parse_float(tokens[1], line_no), _parse_float(tokens[2], line_no))
+    pair = [_parse_float(t, line_no) for t in tokens[1:3]]
+    try:
+        xi = checked_weights(pair)
+    except ValueError as exc:
+        _fail(line_no, str(exc))
     if xi in bounds:
         _fail(line_no, f"duplicate bounds for weights {xi[0]:g},{xi[1]:g}")
     r_left, r_right = (_parse_float(t, line_no) for t in tokens[4:6])

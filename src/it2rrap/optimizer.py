@@ -20,6 +20,7 @@ from .sysmodel import (
     IdealBounds,
     MetricSet,
     SystemSpec,
+    checked_weights,
     constraint_violation,
     crisp_metrics,
     evaluate_objectives,
@@ -286,7 +287,7 @@ class _CandidateScorer:
                  fitness_mode: str, grid_size: int):
         self.spec = spec
         self.bounds = bounds
-        self.xi = (float(xi[0]), float(xi[1]))
+        self.xi = checked_weights(xi)
         self.seed = seed
         self.weight_variant = weight_variant
         self.fitness_mode = fitness_mode

@@ -19,6 +19,7 @@ the optimizers score against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "subsystem_reliability",
     "crisp_metrics",
     "evaluate_objectives",
+    "checked_weights",
     "scalarize",
     "constraint_violation",
     "is_feasible",
@@ -431,6 +433,16 @@ def evaluate_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
     return y_r, y_c
 
 
+def checked_weights(xi) -> tuple[float, float]:
+    """The weight pair ``xi`` as floats; finite, non-negative, not both zero."""
+    xi1, xi2 = float(xi[0]), float(xi[1])
+    if not (math.isfinite(xi1) and math.isfinite(xi2)
+            and xi1 >= 0 and xi2 >= 0 and (xi1 > 0 or xi2 > 0)):
+        raise ValueError("weights must be finite, non-negative and not both"
+                         f" zero, got {xi1:g},{xi2:g}")
+    return xi1, xi2
+
+
 def scalarize(objectives: tuple[float, float], xi: tuple[float, float],
               bounds: IdealBounds, mode: str = FITNESS_NORMALIZED) -> float:
     """Weighted-sum fitness of a defuzzified objective pair; higher is better.
@@ -442,9 +454,7 @@ def scalarize(objectives: tuple[float, float], xi: tuple[float, float],
     """
     if mode not in _FITNESS_MODES:
         raise ValueError(f"unknown fitness mode {mode!r}")
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    if xi1 < 0 or xi2 < 0 or (xi1 == 0 and xi2 == 0):
-        raise ValueError("weights must be non-negative and not both zero")
+    xi1, xi2 = checked_weights(xi)
     y_r, y_c = objectives
     if mode == FITNESS_RAW:
         return xi1 * y_r - xi2 * y_c

@@ -32,9 +32,9 @@ from it2rrap.sysmodel import (
     WEIGHT_DATASET_CONSISTENT,
     IdealBounds,
 )
-from it2rrap.typereduce import brute_force_centroid
+from it2rrap.typereduce import centroid_arrays
 from tests.draws import zeros_rng
-from tests.test_typereduce import ekm_with_iterations, random_sampled
+from tests.test_typereduce import lp_centroid, random_sampled
 
 # ---------------------------------------------------------------------------
 # reference allocations from the bundled datasets (series-parallel rows
@@ -128,22 +128,20 @@ def test_criterion_04_weight_formula_gap_is_documented():
 
 
 # ---------------------------------------------------------------------------
-# criterion 5: EKM against the exhaustive centroid oracle
+# criterion 5: the type reducer against the linear-programming centroid
 # ---------------------------------------------------------------------------
 
-def test_criterion_05_ekm_matches_brute_force_on_1000_instances():
+def test_criterion_05_centroid_matches_lp_oracle_on_1000_instances():
     rng = np.random.default_rng(424242)
     for _ in range(1000):
         s = random_sampled(rng)
-        n = s[0].size
-        assert 3 <= n <= 64
-        oracle_left, oracle_right = brute_force_centroid(*s)
-        (left, left_iters), (right, right_iters) = ekm_with_iterations(*s)
+        assert 3 <= s[0].size <= 64
+        oracle_left, oracle_right = lp_centroid(*s)
+        left, right = centroid_arrays(*s)
         assert abs(left - oracle_left) <= 1e-9
         assert abs(right - oracle_right) <= 1e-9
-        assert left_iters <= n and right_iters <= n
-    _passed(5, "1000 random footprints: EKM within 1e-9 of the exhaustive "
-               "centroid, iterations bounded by grid size")
+    _passed(5, "1000 random footprints: switch-point centroid within 1e-9 "
+               "of the linear-programming optimum")
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,14 @@ def test_verify_rejects_nan_reliability(capsys):
     assert "reliability nan" not in captured.out
 
 
+@pytest.mark.parametrize("r", ["0.6,,0.6,0.6,0.6,0.6,", PS_R + ","])
+def test_verify_rejects_empty_reliability_token(capsys, r):
+    assert main(["verify", "parallel-series", "--r", r, "--n", PS_N]) == 1
+    captured = capsys.readouterr()
+    assert "could not convert string to float: ''" in captured.err
+    assert "reliability" not in captured.out
+
+
 def test_verify_applies_weight_formula_choice(capsys):
     assert main(["verify", "parallel-series", "--r", PS_R, "--n", PS_N,
                  "--weight-formula", "as-written",

@@ -165,6 +165,14 @@ def test_optional_search_range_keys():
     (lambda t: t.replace("c 10.0 90.0", "c 10.0"), "bounds rows read"),
     (lambda t: t + "bounds 1.0 1.0 r 0.4 0.8 c 5.0 95.0\n",
      "line 10: duplicate bounds for weights 1,1"),
+    (lambda t: t.replace("bounds 1.0 1.0", "bounds nan 1.0"),
+     "line 9: weights must be finite.* got nan,1"),
+    (lambda t: t.replace("bounds 1.0 1.0", "bounds 1.0 inf"),
+     "line 9: weights must be finite.* got 1,inf"),
+    (lambda t: t.replace("bounds 1.0 1.0", "bounds -0.5 1.0"),
+     "line 9: weights must be finite.* got -0.5,1"),
+    (lambda t: t.replace("bounds 1.0 1.0", "bounds 0.0 0.0"),
+     "line 9: weights must be finite.* got 0,0"),
     (lambda t: t.replace("unit 1 alpha 2e-05 beta 1.5 weight 2 kappa 3\n",
                          ""), "expected 1 unit rows, found 0"),
     (lambda t: t.replace("bounds 1.0 1.0 r 0.5 0.9 c 10.0 90.0\n", ""),

@@ -247,6 +247,15 @@ def test_solves_differ_across_seeds():
     assert not np.array_equal(a.trace, b.trace)
 
 
+@pytest.mark.parametrize("xi", [(float("nan"), 1.0), (1.0, float("inf")),
+                                (-0.5, 1.0), (0.0, 0.0)])
+def test_solves_reject_bad_weights_before_searching(xi):
+    spec, bounds = ps_problem()
+    for solve, config in ((swarm_solve, SMALL_SWARM), (genetic_solve, SMALL_GA)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            solve(spec, bounds, xi, config)
+
+
 def test_solve_echoes_configuration():
     spec, bounds = ps_problem()
     res = swarm_solve(spec, bounds, (0.8, 0.2), SMALL_SWARM,

@@ -1,24 +1,36 @@
-"""Tests for centroid type reduction: brute-force reference and EKM."""
+"""Tests for centroid type reduction against a linear-programming oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
-from it2rrap import (
-    CentroidInterval,
-    brute_force_centroid,
-    centroid_arrays,
-    defuzzify,
-)
-from it2rrap.typereduce import _ekm_side, _prepared, _support_span
+from it2rrap import CentroidInterval, centroid_arrays, defuzzify
 
 
-def ekm_with_iterations(grid, lower, upper):
-    """``((left, passes), (right, passes))`` of the EKM iteration that
-    :func:`centroid_arrays` runs, with the pass count of each side."""
-    prep = _prepared(grid, lower, upper)
-    first, last = _support_span(upper)
-    return (_ekm_side(prep, first, last, "left"),
-            _ekm_side(prep, first, last, "right"))
+def lp_centroid(grid, lower, upper):
+    """Both centroid endpoints as linear programs, independent of the
+    switch-point theorem :func:`centroid_arrays` relies on.
+
+    The endpoints extremise ``sum(x w) / sum(w)`` over ``lower <= w <=
+    upper``.  The Charnes-Cooper substitution ``t = s w`` with ``sum(t) = 1``
+    makes that linear in ``(t, s)``: extremise ``sum(x t)`` subject to
+    ``lower s <= t <= upper s`` and ``t, s >= 0``.
+    """
+    n = grid.size
+    eye = np.eye(n)
+    a_ub = np.vstack([np.hstack([-eye, lower[:, None]]),
+                      np.hstack([eye, -upper[:, None]])])
+    a_eq = np.append(np.ones(n), 0.0)[None, :]
+    ends = []
+    for sign in (1.0, -1.0):
+        res = linprog(sign * np.append(grid, 0.0), A_ub=a_ub,
+                      b_ub=np.zeros(2 * n), A_eq=a_eq, b_eq=[1.0],
+                      bounds=(0, None), method="highs")
+        assert res.status == 0, res.message
+        ends.append(sign * res.fun)
+    return ends[0], ends[1]
 
 
 def random_sampled(rng, n=None):
@@ -61,8 +73,6 @@ def test_centroid_endpoints_reject_inversion():
 def test_two_point_hand_enumeration():
     """N=2 instance small enough to enumerate the three patterns by hand."""
     s = (np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
-    assert np.allclose(brute_force_centroid(*s), [1.0 / 3.0, 2.0 / 3.0],
-                       rtol=0, atol=1e-12)
     assert np.allclose(centroid_arrays(*s), [1.0 / 3.0, 2.0 / 3.0],
                        rtol=0, atol=1e-12)
 
@@ -122,8 +132,6 @@ def test_affine_grid_change_moves_centroid_accordingly():
 def test_zero_mass_rejected():
     s = (np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="no mass"):
-        brute_force_centroid(*s)
-    with pytest.raises(ValueError, match="no mass"):
         centroid_arrays(*s)
 
 
@@ -133,20 +141,60 @@ def test_single_support_point_returns_that_abscissa():
     assert left == right == 0.5
 
 
-def test_ekm_matches_enumeration_on_random_instances():
-    """EKM equals the exhaustive reference on several hundred random shapes
-    and converges within N passes."""
+def test_centroid_matches_lp_oracle_on_random_instances():
+    """The switch-point enumeration equals the LP optimum on several hundred
+    random shapes."""
     rng = np.random.default_rng(2024)
     for _ in range(400):
         s = random_sampled(rng)
-        bf_left, bf_right = brute_force_centroid(*s)
-        (left, it_left), (right, it_right) = ekm_with_iterations(*s)
-        assert abs(left - bf_left) <= 1e-12 * max(1.0, abs(bf_left))
-        assert abs(right - bf_right) <= 1e-12 * max(1.0, abs(bf_right))
-        assert it_left <= s[0].size
-        assert it_right <= s[0].size
-        assert centroid_arrays(*s) == (left, right)
-        assert left <= right + 1e-15
+        lp_left, lp_right = lp_centroid(*s)
+        left, right = centroid_arrays(*s)
+        assert abs(left - lp_left) <= 1e-12 * max(1.0, abs(lp_left))
+        assert abs(right - lp_right) <= 1e-12 * max(1.0, abs(lp_right))
+        assert left <= right
+
+
+_grade = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+
+
+@st.composite
+def sampled_sets(draw):
+    """``(grid, lower, upper)`` with a strictly increasing grid and
+    ``0 <= lower <= upper`` carrying some upper mass."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.floats(-100.0, 100.0))
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n - 1,
+                          max_size=n - 1))
+    grid = start + np.concatenate(([0.0], np.cumsum(steps)))
+    upper = np.array(draw(st.lists(_grade, min_size=n, max_size=n)))
+    if not np.any(upper > 0):
+        upper[draw(st.integers(0, n - 1))] = 1.0
+    lower = upper * np.array(draw(st.lists(_grade, min_size=n, max_size=n)))
+    return grid, lower, upper
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_sets())
+def test_centroid_brackets_upper_centroid_within_upper_support(s):
+    """The all-upper pattern is a candidate for both endpoints, so its
+    average lies between them, and both lie within the upper support.
+
+    The bracket is computed from full sums and holds to rounding.  The
+    support bound allows for the tail sums ``cum[N] - cum[k]``, whose
+    rounding error is relative to the whole mass rather than to the tail:
+    with grades 1 and 1e-6 on the grid (0, 1) the right end is 1 + 8e-11.
+    """
+    grid, lower, upper = s
+    left, right = centroid_arrays(grid, lower, upper)
+    scale = max(1.0, float(np.max(np.abs(grid))))
+    tol = 1e-12 * scale
+    upper_centroid = np.sum(grid * upper) / np.sum(upper)
+    assert left <= upper_centroid + tol
+    assert upper_centroid <= right + tol
+    support = grid[upper > 0]
+    tail_tol = tol * np.sum(upper) / np.min(upper[upper > 0])
+    assert support[0] - tail_tol <= left
+    assert right <= support[-1] + tail_tol
 
 
 def test_defuzzify_midpoint():

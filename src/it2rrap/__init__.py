@@ -2,7 +2,7 @@
 
 from .typereduce import (
     CentroidInterval,
-    centroid_arrays,
+    centroid_rows,
     defuzzify,
 )
 from .datasets import (

@@ -3,9 +3,16 @@
 Both searchers work on a continuous box: one coordinate per unit
 reliability followed by one per redundancy count.  Count coordinates are
 decoded by rounding halves up, so the box ``[n_min, n_max]`` maps onto the
-integer grid without bias at either edge.  Infeasible candidates never
-enter the fuzzy pipeline; they score below every feasible fitness observed
-so far by their constraint violation.
+integer grid without bias at either edge.
+
+Both score a whole round at once: the score function takes the round's
+``(P, D)`` position matrix and returns ``P`` scores, and the searchers then
+do their member, swarm and elite bookkeeping in row order.  The allocation
+scorer runs the crisp metrics of the whole round as one matrix and only
+the feasible rows through the fuzzy pipeline.  Infeasible candidates score
+below every feasible fitness observed before them, in row order, by their
+constraint violation, so a round scored at once gives exactly the scores
+that scoring its rows one at a time would.
 """
 
 from dataclasses import dataclass
@@ -20,10 +27,12 @@ from .sysmodel import (
     IdealBounds,
     MetricSet,
     SystemSpec,
+    _metrics_matrix,
+    _objective_rows,
+    _validate_rows,
+    _violation_rows,
+    checked_grid_size,
     checked_weights,
-    constraint_violation,
-    crisp_metrics,
-    evaluate_objectives,
     penalized_fitness,
     scalarize,
 )
@@ -137,16 +146,32 @@ def _check_box(lower, upper) -> Tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def swarm_maximize(score_fn: Callable[[np.ndarray], float],
+def _round_scores(score_fn: Callable[[np.ndarray], np.ndarray],
+                  positions: np.ndarray) -> np.ndarray:
+    """``score_fn`` applied to one round's ``(P, D)`` positions: ``P``
+    scores, none of them NaN, which no comparison would rank."""
+    scores = np.array(score_fn(positions), dtype=float)
+    if scores.shape != (len(positions),):
+        raise ValueError(f"score_fn returned shape {scores.shape} for "
+                         f"{len(positions)} positions, not one score each")
+    if np.any(np.isnan(scores)):
+        raise ValueError("score_fn returned a NaN score")
+    return scores
+
+
+def swarm_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
                    lower, upper, config: SwarmConfig):
     """Maximize ``score_fn`` over a box with a constriction-factor swarm.
 
-    Each round evaluates every member, updates the member and swarm bests
-    (strict improvement only, ties keep the incumbent) and then moves the
-    swarm: both pulls share one uniform pair per member, their sum sets the
-    constriction scale, and velocities are clamped to a fraction of the box
-    before positions are clipped back inside it.  Positions and velocities
-    start uniform in the box and the clamp window respectively.
+    ``score_fn`` takes the ``(population, D)`` matrix of member positions
+    and returns one score per row.  Each round scores every member in one
+    call, then updates the member and swarm bests in row order (strict
+    improvement only, ties keep the incumbent, so the first of equal
+    scores wins) and moves the swarm: both pulls share one uniform pair per
+    member, their sum sets the constriction scale, and velocities are
+    clamped to a fraction of the box before positions are clipped back
+    inside it.  Positions and velocities start uniform in the box and the
+    clamp window respectively.
 
     Returns ``(best_position, best_score, trace, k_used)`` where
     ``trace[t]`` is the swarm best after round ``t``.
@@ -165,14 +190,14 @@ def swarm_maximize(score_fn: Callable[[np.ndarray], float],
     best_score = -np.inf
     trace = np.empty(config.iterations)
     for iteration in range(config.iterations):
-        for index in range(config.population):
-            score = float(score_fn(pos[index]))
-            if score > member_score[index]:
-                member_score[index] = score
-                member_best[index] = pos[index]
-            if score > best_score:
-                best_score = score
-                best_pos = pos[index].copy()
+        scores = _round_scores(score_fn, pos)
+        improved = scores > member_score
+        member_score[improved] = scores[improved]
+        member_best[improved] = pos[improved]
+        top = int(np.argmax(scores))
+        if scores[top] > best_score:
+            best_score = float(scores[top])
+            best_pos = pos[top].copy()
         trace[iteration] = best_score
         u = rng.random((config.population, 2))
         chi = constriction(k, config.cognitive, config.social, u[:, 0], u[:, 1])
@@ -194,15 +219,17 @@ def _tournament(rng, scores: np.ndarray, size: int) -> int:
     return best
 
 
-def evolve_maximize(score_fn: Callable[[np.ndarray], float],
+def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
                     lower, upper, config: GaConfig):
     """Maximize ``score_fn`` over a box with a tournament genetic search.
 
-    Round 0 is the evaluated initial population.  Each later round keeps
-    the top ``elitism`` members with their scores (never re-evaluated) and
-    fills the rest with offspring: two tournament winners, one-point
-    crossover at rate ``crossover_rate``, then at rate ``mutation_rate``
-    one coordinate redrawn uniformly inside the box.
+    ``score_fn`` takes a ``(rows, D)`` matrix of positions and returns one
+    score per row.  Round 0 is the initial population, scored in one call.
+    Each later round keeps the top ``elitism`` members with their scores
+    (never re-evaluated) and fills the rest with offspring, scored together
+    in one call: two tournament winners, one-point crossover at rate
+    ``crossover_rate``, then at rate ``mutation_rate`` one coordinate
+    redrawn uniformly inside the box.
 
     Returns ``(best_position, best_score, trace)`` where ``trace[g]`` is
     the best score seen through round ``g`` (never decreasing, one entry
@@ -212,8 +239,7 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], float],
     rng = np.random.default_rng(config.seed)
     dims = lower.size
     pop = rng.uniform(lower, upper, (config.population, dims))
-    scores = np.array([float(score_fn(pop[i]))
-                       for i in range(config.population)])
+    scores = _round_scores(score_fn, pop)
     best = int(np.argmax(scores))
     best_pos = pop[best].copy()
     best_score = float(scores[best])
@@ -242,8 +268,7 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], float],
             if rng.random() < config.mutation_rate:
                 gene = int(rng.integers(dims))
                 kids[i, gene] = rng.uniform(lower[gene], upper[gene])
-        kid_scores = np.array([float(score_fn(kids[i]))
-                               for i in range(need)])
+        kid_scores = _round_scores(score_fn, kids)
         pop = np.vstack([elites, kids]) if config.elitism else kids
         scores = np.concatenate([elite_scores, kid_scores]) \
             if config.elitism else kid_scores
@@ -259,27 +284,20 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], float],
 # allocation-problem scoring
 # ---------------------------------------------------------------------------
 
-class _ReplayDraws:
-    """Generator stand-in that replays one fixed uniform block."""
-
-    def __init__(self, block: np.ndarray):
-        self._block = block
-
-    def random(self, size) -> np.ndarray:
-        if tuple(size) != self._block.shape:
-            raise ValueError(f"unexpected draw shape {size}")
-        return self._block.copy()
-
-
 class _CandidateScorer:
-    """Penalty-handled fitness of encoded allocations.
+    """Penalty-handled fitness of encoded allocations, a round at a time.
 
     Feasibility is checked on cheap crisp metrics first; only feasible
     candidates run the fuzzy pipeline.  The fuzzification uniforms are
     drawn once per run (from a stream separate from the mover's) and
-    replayed for every evaluation, making the fitness a deterministic
+    shared by every evaluation, making the fitness a deterministic
     function of the candidate within the run, so best scores cached by
     the searchers stay comparable across rounds.
+
+    The state a penalty or a reported best depends on (the worst and best
+    feasible fitness and the least violation seen so far) is updated in
+    row order, so scoring a round at once equals scoring its rows one after
+    another.
     """
 
     def __init__(self, spec: SystemSpec, bounds: IdealBounds,
@@ -291,7 +309,7 @@ class _CandidateScorer:
         self.seed = seed
         self.weight_variant = weight_variant
         self.fitness_mode = fitness_mode
-        self.grid_size = grid_size
+        self.grid_size = checked_grid_size(grid_size)
         self.evaluations = 0
         self.worst_feasible = None
         self.best_feasible = None
@@ -300,32 +318,56 @@ class _CandidateScorer:
             np.random.SeedSequence(seed, spawn_key=(_EVAL_STREAM,)))
         self._draws = stream.random((spec.size, 8))
 
-    def decode(self, x: np.ndarray) -> Candidate:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Scores of the rows of ``x``, a ``(P, 2m)`` matrix of positions."""
         m = self.spec.size
-        r = np.asarray(x[:m], dtype=float)
-        n = np.floor(np.asarray(x[m:], dtype=float) + 0.5).astype(int)
-        return Candidate(r, n)
+        r = np.array(x[:, :m], dtype=float)
+        n = np.floor(x[:, m:] + 0.5).astype(int)
+        _validate_rows(self.spec, r, n)
+        metrics = _metrics_matrix(self.spec, r, n, self.weight_variant)
+        violation = _violation_rows(self.spec, *metrics[1:])
+        self.evaluations += len(x)
+        feasible = np.flatnonzero(violation == 0.0)
+        infeasible = np.flatnonzero(violation != 0.0)
 
-    def __call__(self, x: np.ndarray) -> float:
-        cand = self.decode(x)
-        metrics = crisp_metrics(self.spec, cand, self.weight_variant)
-        self.evaluations += 1
-        violation = constraint_violation(self.spec, metrics)
-        if violation == 0.0:
-            objectives = evaluate_objectives(self.spec, cand, self.bounds,
-                                             _ReplayDraws(self._draws),
-                                             self.grid_size)
-            raw = scalarize(objectives, self.xi, self.bounds,
-                            self.fitness_mode)
-            if self.worst_feasible is None or raw < self.worst_feasible:
-                self.worst_feasible = raw
-            if self.best_feasible is None or raw > self.best_feasible[0]:
-                self.best_feasible = (raw, cand, metrics, objectives)
-            return raw
-        score = penalized_fitness(violation, self.worst_feasible)
-        if self.least_violating is None or violation < self.least_violating[0]:
-            self.least_violating = (violation, score, cand, metrics)
-        return score
+        raw = np.full(len(x), np.inf)
+        if feasible.size:
+            y_r, y_c = _objective_rows(self.spec, r[feasible], n[feasible],
+                                       self.bounds, self._draws,
+                                       self.grid_size)
+            raw[feasible] = scalarize((y_r, y_c), self.xi, self.bounds,
+                                      self.fitness_mode)
+            top = int(np.argmax(raw[feasible]))
+            if (self.best_feasible is None
+                    or raw[feasible[top]] > self.best_feasible[0]):
+                i = feasible[top]
+                self.best_feasible = (float(raw[i]), Candidate(r[i], n[i]),
+                                      _metric_set(metrics, i),
+                                      (float(y_r[top]), float(y_c[top])))
+        # worst feasible fitness known before each row, inf while none is;
+        # penalties then start from base 0
+        worst = np.minimum.accumulate(raw)
+        if self.worst_feasible is not None:
+            np.minimum(worst, self.worst_feasible, out=worst)
+        if worst[-1] < np.inf:
+            self.worst_feasible = float(worst[-1])
+        scores = raw  # feasible rows keep their raw fitness
+        if infeasible.size:
+            known = worst[infeasible]
+            scores[infeasible] = penalized_fitness(
+                violation[infeasible], np.where(known < np.inf, known, 0.0))
+            low = int(np.argmin(violation[infeasible]))
+            if (self.least_violating is None
+                    or violation[infeasible[low]] < self.least_violating[0]):
+                i = infeasible[low]
+                self.least_violating = (float(violation[i]), float(scores[i]),
+                                        Candidate(r[i], n[i]),
+                                        _metric_set(metrics, i))
+        return scores
+
+
+def _metric_set(metrics: Tuple[np.ndarray, ...], row: int) -> MetricSet:
+    return MetricSet(*(float(values[row]) for values in metrics))
 
 
 @dataclass(frozen=True)

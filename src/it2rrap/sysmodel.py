@@ -14,17 +14,19 @@ triangular membership function, maps the reliability footprints through the
 layout formula by cutting them at a ladder of membership levels, takes the
 union of the cost footprints on a shared grid, type-reduces each aggregate
 and takes the centroid midpoint, yielding the defuzzified objective pair
-the optimizers score against.
+the optimizers score against.  Every step takes a batch of candidates, one
+per row; :func:`evaluate_objectives` is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .typereduce import CentroidInterval, centroid_arrays, defuzzify
+from .typereduce import CentroidInterval, centroid_rows, defuzzify
 
 __all__ = [
     "SERIES_PARALLEL",
@@ -41,6 +43,7 @@ __all__ = [
     "subsystem_reliability",
     "crisp_metrics",
     "evaluate_objectives",
+    "checked_grid_size",
     "checked_weights",
     "scalarize",
     "constraint_violation",
@@ -185,13 +188,19 @@ class IdealBounds:
 
 def validate_candidate(spec: SystemSpec, cand: Candidate) -> None:
     """Raise ``ValueError`` if ``cand`` is not a point of the search box."""
-    if cand.r.size != spec.size:
-        raise ValueError(f"candidate has {cand.r.size} sub-systems, "
+    _validate_rows(spec, cand.r, cand.n)
+
+
+def _validate_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every candidate row of ``(r, n)``, each
+    shaped ``(..., m)``, is a point of the search box."""
+    if r.shape[-1] != spec.size:
+        raise ValueError(f"candidate has {r.shape[-1]} sub-systems, "
                          f"spec has {spec.size}")
-    if not np.all((cand.r >= spec.r_min) & (cand.r <= spec.r_max)):
+    if not np.all((r >= spec.r_min) & (r <= spec.r_max)):
         raise ValueError(f"reliabilities must lie in "
                          f"[{spec.r_min}, {spec.r_max}]")
-    if np.any(cand.n < spec.n_min) or np.any(cand.n > spec.n_max):
+    if np.any(n < spec.n_min) or np.any(n > spec.n_max):
         raise ValueError(f"redundancy counts must lie in "
                          f"[{spec.n_min}, {spec.n_max}]")
 
@@ -215,11 +224,12 @@ def subsystem_reliability(topology: str, r, n):
     raise ValueError(f"unknown topology {topology!r}")
 
 
-def _system_from_stages(topology: str, stage: np.ndarray) -> np.ndarray:
-    """Combine stage reliabilities along the last axis per the layout."""
+def _system_from_stages(topology: str, stage: np.ndarray,
+                        axis: int = -1) -> np.ndarray:
+    """Combine stage reliabilities along ``axis`` per the layout."""
     if topology == SERIES_PARALLEL:
-        return np.prod(stage, axis=-1)
-    return 1.0 - np.prod(1.0 - stage, axis=-1)
+        return np.prod(stage, axis=axis)
+    return 1.0 - np.prod(1.0 - stage, axis=axis)
 
 
 def _metrics_matrix(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
@@ -257,19 +267,21 @@ def crisp_metrics(spec: SystemSpec, cand: Candidate,
 # fuzzification
 # ---------------------------------------------------------------------------
 
-def _fuzzify_arrays(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
-                    rng) -> tuple[np.ndarray, np.ndarray, float]:
-    """Vectorised footprint parameters for all sub-systems.
+def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
+                    bounds: IdealBounds, draws: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Footprint parameters of every sub-system of every candidate row.
 
-    Returns ``(rel, cost, cost_hi)`` where each parameter block has one row
-    per sub-system with columns (umf_left, lmf_left, peak, lmf_right,
-    umf_right), and ``cost_hi`` is the upper end of the shared cost grid.
+    ``r`` and ``n`` hold one candidate per row, shaped ``(rows, m)``.
+    Returns ``(rel, cost, cost_hi)``: each parameter block is shaped
+    ``(rows, m, 5)`` with the columns (umf_left, lmf_left, peak, lmf_right,
+    umf_right), and ``cost_hi`` holds each row's upper end of its cost grid.
 
-    The draws come as one ``rng.random((m, 8))`` block, one row per
-    sub-system: columns 0-3 shape the reliability footprint and 4-7 the cost
-    one, each in the order (lmf_left, umf_left, lmf_right, umf_right).  A
-    draw of 0 leaves a foot on its anchor; a draw of 1 moves an LMF foot
-    onto the peak and a UMF foot onto the end of the support.
+    ``draws`` is one ``(m, 8)`` block of uniforms that every row shares, one
+    row per sub-system: columns 0-3 shape the reliability footprint and 4-7
+    the cost one, each in the order (lmf_left, umf_left, lmf_right,
+    umf_right).  A draw of 0 leaves a foot on its anchor; a draw of 1 moves
+    an LMF foot onto the peak and a UMF foot onto the end of the support.
 
     The anchor ends are clamped so the crisp peak always lies between them:
     an end the peak falls outside of is moved onto the peak, giving zero
@@ -278,32 +290,30 @@ def _fuzzify_arrays(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
     the clamped right end whenever a cost anchor or peak exceeds the limit,
     since the support must cover the whole triangle.
     """
-    m = spec.size
-    u = rng.random((m, 8))
-
-    p = subsystem_reliability(spec.topology, cand.r, cand.n)
+    u = draws
+    p = subsystem_reliability(spec.topology, r, n)
     left = np.minimum(bounds.r_left, p)
     right = np.maximum(bounds.r_right, p)
-    rel = np.column_stack([
+    rel = np.stack([
         left - left * u[:, 1],                 # umf_left, support starts at 0
         left + (p - left) * u[:, 0],           # lmf_left
         p,
         right - (right - p) * u[:, 2],         # lmf_right
         right + (1.0 - right) * u[:, 3],       # umf_right, support ends at 1
-    ])
+    ], axis=-1)
 
-    c = _cost_terms_matrix(spec, cand.r, cand.n)
+    c = _cost_terms_matrix(spec, r, n)
     cleft = np.minimum(bounds.c_left, c)
     cright = np.maximum(bounds.c_right, c)
     chigh = np.maximum(spec.cost_limit, cright)
-    cost = np.column_stack([
+    cost = np.stack([
         cleft - cleft * u[:, 5],
         cleft + (c - cleft) * u[:, 4],
         c,
         cright - (cright - c) * u[:, 6],
         cright + (chigh - cright) * u[:, 7],
-    ])
-    cost_hi = float(max(spec.cost_limit, np.max(cost[:, 4])))
+    ], axis=-1)
+    cost_hi = np.maximum(spec.cost_limit, np.max(cost[..., 4], axis=-1))
     return rel, cost, cost_hi
 
 
@@ -311,126 +321,188 @@ def _fuzzify_arrays(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
 # aggregation and the fuzzy objective pipeline
 # ---------------------------------------------------------------------------
 
+# Every (rows, m, grid) temporary of the pipeline holds at most this many
+# float64s, 128 KiB, which is glibc's default mmap threshold.  Blocks above
+# it are mapped fresh and handed back on every free, so each chunk pays its
+# page faults again: on a 2-CPU x86 VM a ten-stage grid-1601 solve took 6%
+# longer with a 256 KiB cap and 17% longer with 512 KiB.
+_BLOCK_FLOATS = 16384
+
+
 def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
               right: np.ndarray) -> np.ndarray:
-    """Triangle memberships on a shared grid, one row per triangle."""
-    g = grid[None, :]
-    lf = left[:, None]
-    pk = peak[:, None]
-    rt = right[:, None]
-    out = np.zeros((left.size, grid.size))
+    """Triangle memberships on grids, shaped ``(..., k, G)``.
+
+    ``left``/``peak``/``right`` hold ``k`` triangles per row, shaped
+    ``(..., k)``, and ``grid`` holds each row's grid, shaped ``(..., G)``;
+    a one-dimensional grid is shared by all rows.
+    """
+    g = grid[..., None, :]
+    lf = left[..., None]
+    pk = peak[..., None]
+    rt = right[..., None]
+    # in place, so two (..., k, G) blocks are alive at once, not five
+    out = g - lf
+    desc = rt - g
     with np.errstate(divide="ignore", invalid="ignore"):
-        asc = (g - lf) / (pk - lf)
-        desc = (rt - g) / (rt - pk)
-    np.copyto(out, asc, where=(g > lf) & (g < pk))
+        out /= pk - lf
+        desc /= rt - pk
+    np.copyto(out, 0.0, where=(g <= lf) | (g >= pk))
     np.copyto(out, desc, where=(g > pk) & (g < rt))
     np.copyto(out, 1.0, where=(g == pk))
     return out
 
 
-def _nearest_spike(grid: np.ndarray, value: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit point mass at the grid point closest to ``value``."""
-    lower = np.zeros(grid.size)
-    lower[int(np.argmin(np.abs(grid - value)))] = 1.0
-    return lower, lower.copy()
+def _nearest_index(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the grid point closest to each value, first on ties;
+    ``grid`` is ``(G,)`` or one grid per value, ``(len(values), G)``."""
+    return np.argmin(np.abs(grid - values[:, None]), axis=-1)
 
 
 def _extension_bound(grid: np.ndarray, feet_left: np.ndarray, peaks: np.ndarray,
                      feet_right: np.ndarray, topology: str,
                      ladder: np.ndarray) -> np.ndarray:
-    """Membership, on ``grid``, of the layout image of stage triangles.
+    """Membership, on ``grid``, of the layout image of each row's stage
+    triangles, shaped ``(rows, G)``.
 
-    Each stage triangle (given by its feet and peak) is cut at every ladder
-    level; the layout formula maps the cut ends, and the resulting envelope
-    is read back as a membership curve over ``grid``.  Both mapped ends are
-    monotone in the level, so linear interpolation recovers the curve.
+    Each stage triangle (given by its feet and peak, ``(rows, m)`` each) is
+    cut at every ladder level; the layout formula maps the cut ends, and the
+    resulting envelope is read back as a membership curve over ``grid``.
+    Both mapped ends are monotone in the level, so linear interpolation
+    recovers the curve.
     """
-    lo_cut = feet_left[:, None] + (peaks - feet_left)[:, None] * ladder
-    hi_cut = feet_right[:, None] - (feet_right - peaks)[:, None] * ladder
-    if topology == SERIES_PARALLEL:
-        left = np.prod(lo_cut, axis=0)
-        right = np.prod(hi_cut, axis=0)
-    else:
-        left = 1.0 - np.prod(1.0 - lo_cut, axis=0)
-        right = 1.0 - np.prod(1.0 - hi_cut, axis=0)
-    rising = np.interp(grid, left, ladder, left=0.0, right=1.0)
-    falling = np.interp(grid, right[::-1], ladder[::-1], left=1.0, right=0.0)
-    mu = np.minimum(rising, falling)
+    # both sides' cut ends at every level share one (rows, m, G) block
+    cut = (peaks - feet_left)[..., None] * ladder
+    cut += feet_left[..., None]
+    left = _system_from_stages(topology, cut, axis=-2)
+    np.multiply((feet_right - peaks)[..., None], ladder, out=cut)
+    np.subtract(feet_right[..., None], cut, out=cut)
+    right = _system_from_stages(topology, cut, axis=-2)
+    mu = np.empty_like(left)
+    for row in range(len(mu)):
+        rising = np.interp(grid, left[row], ladder, left=0.0, right=1.0)
+        falling = np.interp(grid, right[row, ::-1], ladder[::-1], left=1.0,
+                            right=0.0)
+        np.minimum(rising, falling, out=mu[row])
     # normality: the apex images always carry full membership, even when a
     # zero-width side makes one interpolation table a flat plateau
-    np.copyto(mu, 1.0, where=(grid == left[-1]) | (grid == right[-1]))
+    np.copyto(mu, 1.0, where=(grid == left[:, -1:]) | (grid == right[:, -1:]))
     return mu
 
 
 def _extended_rel(rel: np.ndarray, topology: str,
                   grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper membership of the system reliability set on ``grid``.
+    """Lower and upper membership of each row's system reliability set on
+    ``grid``, shaped ``(rows, G)``.
 
-    ``rel`` holds one footprint row per sub-system, as built by
-    :func:`_fuzzify_arrays`.  Both bounds come from
-    :func:`_extension_bound` with one ladder level per grid point: the UMF
-    from the outer feet, the LMF from the inner ones.  A footprint too
-    narrow to touch any grid point collapses to a unit spike at the grid
-    point nearest the image of the peaks, so zero-spread inputs stay within
-    half a grid cell of the crisp value.
+    ``rel`` holds one footprint row per sub-system and candidate, shaped
+    ``(rows, m, 5)`` as built by :func:`_fuzzify_arrays`.  Both bounds come
+    from :func:`_extension_bound` with one ladder level per grid point: the
+    UMF from the outer feet, the LMF from the inner ones.  A candidate whose
+    footprint is too narrow to touch any grid point collapses to a unit
+    spike at the grid point nearest the image of its peaks, so zero-spread
+    inputs stay within half a grid cell of the crisp value.
     """
     ladder = np.linspace(0.0, 1.0, grid.size)
-    upper = _extension_bound(grid, rel[:, 0], rel[:, 2], rel[:, 4],
+    upper = _extension_bound(grid, rel[..., 0], rel[..., 2], rel[..., 4],
                              topology, ladder)
-    if not np.any(upper > 0.0):
-        peak = float(_system_from_stages(topology, rel[:, 2]))
-        return _nearest_spike(grid, peak)
-    lower = _extension_bound(grid, rel[:, 1], rel[:, 2], rel[:, 3],
+    lower = _extension_bound(grid, rel[..., 1], rel[..., 2], rel[..., 3],
                              topology, ladder)
-    return np.minimum(lower, upper), upper
+    np.minimum(lower, upper, out=lower)
+    missed = np.flatnonzero(~np.any(upper > 0.0, axis=-1))
+    if missed.size:
+        peaks = _system_from_stages(topology, rel[missed, :, 2])
+        spike = np.zeros((missed.size, grid.size))
+        spike[np.arange(missed.size), _nearest_index(grid, peaks)] = 1.0
+        upper[missed] = spike
+        lower[missed] = spike
+    return lower, upper
 
 
 def _joined_cost(cost: np.ndarray,
                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper membership of the system cost set (union fold).
+    """Lower and upper membership of each row's system cost set (union
+    fold), shaped ``(rows, G)``.
 
-    Stage footprints too narrow to touch any grid point are first replaced
-    by unit spikes at the grid point nearest their peak, so collapsed cost
-    footprints keep their mass instead of vanishing.
+    ``cost`` holds the stage footprints, ``(rows, m, 5)``, and ``grid`` each
+    row's cost grid, ``(rows, G)``.  Stage footprints too narrow to touch
+    any grid point are first replaced by unit spikes at the grid point
+    nearest their peak, so collapsed cost footprints keep their mass instead
+    of vanishing.
     """
-    lowers = _tri_rows(grid, cost[:, 1], cost[:, 2], cost[:, 3])
-    uppers = _tri_rows(grid, cost[:, 0], cost[:, 2], cost[:, 4])
-    missed = np.flatnonzero(~np.any(uppers > 0.0, axis=1))
-    if missed.size:
-        nearest = np.argmin(np.abs(grid[None, :] - cost[missed, 2][:, None]),
-                            axis=1)
-        uppers[missed, nearest] = 1.0
-        lowers[missed, nearest] = 1.0
-    return lowers.max(axis=0), uppers.max(axis=0)
+    uppers = _tri_rows(grid, cost[..., 0], cost[..., 2], cost[..., 4])
+    rows, stages = np.nonzero(~np.any(uppers > 0.0, axis=-1))
+    spikes = rows, stages, _nearest_index(grid[rows], cost[rows, stages, 2])
+    uppers[spikes] = 1.0
+    upper = uppers.max(axis=-2)
+    del uppers  # one (rows, m, G) block alive at a time
+    lowers = _tri_rows(grid, cost[..., 1], cost[..., 2], cost[..., 3])
+    lowers[spikes] = 1.0
+    return lowers.max(axis=-2), upper
+
+
+def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
+                    bounds: IdealBounds, draws: np.ndarray,
+                    grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Defuzzified reliability and cost objectives of each candidate row.
+
+    ``r`` and ``n`` are ``(rows, m)`` in-box candidates and ``draws`` the
+    ``(m, 8)`` fuzzification uniforms they all share.  A row's objectives
+    depend on that row alone, so any batch gives the values each of its
+    rows gives on its own.  The rows go through in chunks that keep every
+    ``(rows, m, grid_size)`` temporary within ``_BLOCK_FLOATS``.
+    """
+    rel, cost, cost_hi = _fuzzify_arrays(spec, r, n, bounds, draws)
+    rel_grid = np.linspace(0.0, 1.0, grid_size)
+    y_r = np.empty(len(r))
+    y_c = np.empty(len(r))
+    step = max(1, _BLOCK_FLOATS // (spec.size * grid_size))
+    for start in range(0, len(r), step):
+        rows = slice(start, start + step)
+        lower, upper = _extended_rel(rel[rows], spec.topology, rel_grid)
+        y_r[rows] = defuzzify(CentroidInterval(
+            *centroid_rows(rel_grid, lower, upper)))
+        cost_grid = np.ascontiguousarray(
+            np.linspace(0.0, cost_hi[rows], grid_size, axis=-1))
+        lower, upper = _joined_cost(cost[rows], cost_grid)
+        y_c[rows] = defuzzify(CentroidInterval(
+            *centroid_rows(cost_grid, lower, upper)))
+    return y_r, y_c
+
+
+def checked_grid_size(grid_size) -> int:
+    """``grid_size`` as an int; it must be an integer of at least 2."""
+    try:
+        size = operator.index(grid_size)
+    except TypeError:
+        size = None
+    if size is None or size < 2:
+        raise ValueError(f"grid_size must be an integer of at least 2, "
+                         f"got {grid_size!r}")
+    return size
 
 
 def evaluate_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
                         rng, grid_size: int = 201) -> tuple[float, float]:
     """Defuzzified (reliability, cost) objective pair of one candidate.
 
-    Runs the full fuzzy pipeline: fuzzify each sub-system, map the
-    reliability footprints through the layout formula by cutting them at a
-    ladder of membership levels (:func:`_extended_rel`), take the union of
-    the cost footprints on a shared grid (:func:`_joined_cost`), then
-    type-reduce each aggregate and return the centroid midpoints.
+    Runs the full fuzzy pipeline: draw one ``rng.random((m, 8))`` block,
+    fuzzify each sub-system, map the reliability footprints through the
+    layout formula by cutting them at a ladder of membership levels
+    (:func:`_extended_rel`), take the union of the cost footprints on a
+    shared grid (:func:`_joined_cost`), then type-reduce each aggregate and
+    return the centroid midpoints.  This is the one-row case of the batch
+    pipeline the solvers score whole populations with.
 
     Footprints too narrow to register on their grid are replaced by unit
     spikes at the nearest grid point, so zero-spread anchors reproduce the
     crisp metrics to within half a grid cell.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
+    grid_size = checked_grid_size(grid_size)
     validate_candidate(spec, cand)
-    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, rng)
-
-    rel_grid = np.linspace(0.0, 1.0, grid_size)
-    lower, upper = _extended_rel(rel, spec.topology, rel_grid)
-    y_r = defuzzify(CentroidInterval(*centroid_arrays(rel_grid, lower, upper)))
-
-    cost_grid = np.linspace(0.0, cost_hi, grid_size)
-    lower, upper = _joined_cost(cost, cost_grid)
-    y_c = defuzzify(CentroidInterval(*centroid_arrays(cost_grid, lower, upper)))
-    return y_r, y_c
+    y_r, y_c = _objective_rows(spec, cand.r[None], cand.n[None], bounds,
+                               rng.random((spec.size, 8)), grid_size)
+    return float(y_r[0]), float(y_c[0])
 
 
 def checked_weights(xi) -> tuple[float, float]:
@@ -450,7 +522,8 @@ def scalarize(objectives: tuple[float, float], xi: tuple[float, float],
     Reliability is rewarded and cost penalised with weights ``xi``.  In
     ``normalized`` mode the cost is first mapped through the anchor interval
     ``(c_left, c_right)`` so both terms share the unit scale; ``raw`` mode
-    combines the plain values.
+    combines the plain values.  The pair may also be two arrays, one entry
+    per candidate.
     """
     if mode not in _FITNESS_MODES:
         raise ValueError(f"unknown fitness mode {mode!r}")
@@ -472,9 +545,16 @@ def scalarize(objectives: tuple[float, float], xi: tuple[float, float],
 
 def constraint_violation(spec: SystemSpec, metrics: MetricSet) -> float:
     """Total amount by which cost, weight and volume exceed their limits."""
-    return (max(0.0, metrics.cost - spec.cost_limit)
-            + max(0.0, metrics.weight - spec.weight_limit)
-            + max(0.0, metrics.volume - spec.volume_limit))
+    return float(_violation_rows(spec, metrics.cost, metrics.weight,
+                                 metrics.volume))
+
+
+def _violation_rows(spec: SystemSpec, cost, weight, volume) -> np.ndarray:
+    """:func:`constraint_violation` of each row's crisp cost, weight and
+    volume."""
+    return (np.maximum(0.0, cost - spec.cost_limit)
+            + np.maximum(0.0, weight - spec.weight_limit)
+            + np.maximum(0.0, volume - spec.volume_limit))
 
 
 def is_feasible(spec: SystemSpec, metrics: MetricSet) -> bool:
@@ -490,7 +570,8 @@ def penalized_fitness(violation: float,
     feasible point is known) minus the candidate's total constraint
     violation, which is positive for an infeasible candidate and so places
     it strictly below every feasible score observed so far.  Feasible
-    candidates keep their raw fitness and never come here.
+    candidates keep their raw fitness and never come here.  Both arguments
+    may also be arrays, one entry per candidate.
     """
     base = 0.0 if worst_feasible_so_far is None else worst_feasible_so_far
     return base - violation

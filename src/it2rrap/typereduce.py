@@ -6,9 +6,10 @@ one weighted average of the abscissae, and the centroid interval is the range
 of those averages.  Its endpoints are attained by single-switch patterns
 (Karnik & Mendel 2001): the left endpoint uses upper membership on the first
 ``k`` grid points and lower membership after them, the right endpoint the
-reverse.  :func:`centroid_arrays` evaluates all ``N + 1`` patterns of each
+reverse.  :func:`centroid_rows` evaluates all ``N + 1`` patterns of each
 kind from four cumulative sums and takes the extreme averages, so the result
-is exact, costs O(N) and needs no iteration.
+is exact, costs O(N) and needs no iteration.  It reduces any number of sets
+at once, one per row.
 """
 
 from __future__ import annotations
@@ -19,59 +20,67 @@ import numpy as np
 
 __all__ = [
     "CentroidInterval",
-    "centroid_arrays",
+    "centroid_rows",
     "defuzzify",
 ]
 
 
 @dataclass(frozen=True)
 class CentroidInterval:
-    """Closed interval of attainable centroids, ``left <= right``."""
+    """Closed interval of attainable centroids, ``left <= right``.
+
+    The ends may also be equally shaped arrays, one interval per entry.
+    """
 
     left: float
     right: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.left) and np.isfinite(self.right)):
+        if not (np.all(np.isfinite(self.left))
+                and np.all(np.isfinite(self.right))):
             raise ValueError("centroid endpoints must be finite")
-        if self.left > self.right:
+        if np.any(self.left > self.right):
             raise ValueError(
                 f"centroid interval is inverted: [{self.left}, {self.right}]"
             )
 
 
-def centroid_arrays(grid: np.ndarray, lower: np.ndarray,
-                    upper: np.ndarray) -> tuple[float, float]:
-    """Both centroid endpoints of the IT2 set sampled on ``grid``.
+def centroid_rows(grid: np.ndarray, lower: np.ndarray,
+                  upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both centroid endpoints of each IT2 set sampled along the last axis.
 
-    ``grid`` is strictly increasing and ``lower``/``upper`` are the membership
-    bounds on it.  Every switch index ``k`` in 0..N gives one candidate
-    average per endpoint; patterns without mass are skipped.
+    ``lower``/``upper`` are the membership bounds of one set per row, shaped
+    ``(..., N)``, and ``grid`` holds the strictly increasing abscissae,
+    either one grid per row or one ``(N,)`` grid that all rows share.
+    Every switch index ``k`` in 0..N gives one candidate average per
+    endpoint; patterns without mass are skipped.  Returns the left and the
+    right endpoints, shaped ``lower.shape[:-1]`` (scalars for one set).
     """
-    n = grid.size
-    # cum_*[k] is the sum of the first k terms, cum_*[0] == 0
-    cum_xu, cum_xl, cum_u, cum_l = cums = np.empty((4, n + 1))
-    cums[:, 0] = 0.0
-    np.cumsum(grid * upper, out=cum_xu[1:])
-    np.cumsum(grid * lower, out=cum_xl[1:])
-    np.cumsum(upper, out=cum_u[1:])
-    np.cumsum(lower, out=cum_l[1:])
+    n = lower.shape[-1]
+    # cum_*[..., k] is the sum of the first k terms, cum_*[..., 0] == 0
+    cums = np.empty((4,) + lower.shape[:-1] + (n + 1,))
+    cums[..., 0] = 0.0
+    cum_xu, cum_xl, cum_u, cum_l = cums
+    np.cumsum(grid * upper, axis=-1, out=cum_xu[..., 1:])
+    np.cumsum(grid * lower, axis=-1, out=cum_xl[..., 1:])
+    np.cumsum(upper, axis=-1, out=cum_u[..., 1:])
+    np.cumsum(lower, axis=-1, out=cum_l[..., 1:])
 
     # left candidates: upper on the head, lower on the tail
-    num = cum_xu + (cum_xl[n] - cum_xl)
-    den = cum_u + (cum_l[n] - cum_l)
+    num = cum_xu + (cum_xl[..., -1:] - cum_xl)
+    den = cum_u + (cum_l[..., -1:] - cum_l)
     mask = den > 0
-    if not np.any(mask):
+    if not np.all(np.any(mask, axis=-1)):
         raise ValueError("membership function has no mass to type-reduce")
-    left = np.min(num[mask] / den[mask])
+    left = np.divide(num, den, out=np.full_like(num, np.inf),
+                     where=mask).min(axis=-1)
 
     # right candidates: lower on the head, upper on the tail
-    num = cum_xl + (cum_xu[n] - cum_xu)
-    den = cum_l + (cum_u[n] - cum_u)
-    mask = den > 0
-    right = np.max(num[mask] / den[mask])
-
-    return float(left), float(right)
+    num = cum_xl + (cum_xu[..., -1:] - cum_xu)
+    den = cum_l + (cum_u[..., -1:] - cum_u)
+    right = np.divide(num, den, out=np.full_like(num, -np.inf),
+                      where=den > 0).max(axis=-1)
+    return left, right
 
 
 def defuzzify(ci: CentroidInterval) -> float:

@@ -32,7 +32,7 @@ from it2rrap.sysmodel import (
     WEIGHT_DATASET_CONSISTENT,
     IdealBounds,
 )
-from it2rrap.typereduce import centroid_arrays
+from it2rrap.typereduce import centroid_rows
 from tests.draws import zeros_rng
 from tests.test_typereduce import lp_centroid, random_sampled
 
@@ -137,7 +137,7 @@ def test_criterion_05_centroid_matches_lp_oracle_on_1000_instances():
         s = random_sampled(rng)
         assert 3 <= s[0].size <= 64
         oracle_left, oracle_right = lp_centroid(*s)
-        left, right = centroid_arrays(*s)
+        left, right = centroid_rows(*s)
         assert abs(left - oracle_left) <= 1e-9
         assert abs(right - oracle_right) <= 1e-9
     _passed(5, "1000 random footprints: switch-point centroid within 1e-9 "

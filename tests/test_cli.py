@@ -130,6 +130,15 @@ def test_solve_rejects_malformed_weights(tmp_path, capsys):
     assert "not two numbers" in capsys.readouterr().err
 
 
+def test_solve_rejects_grid_size_below_two(tmp_path, capsys):
+    args = solve_args(tmp_path, population="4", iterations="2",
+                      **{"grid-size": "1"})
+    assert main(args) == 1
+    assert "grid_size must be an integer of at least 2" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "runs.json").exists()
+
+
 def test_solve_rejects_unknown_weight_vector(tmp_path, capsys):
     assert main(solve_args(tmp_path, weights="0.3,0.7")) == 1
     assert "error:" in capsys.readouterr().err

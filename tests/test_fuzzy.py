@@ -34,6 +34,27 @@ def one_stage():
     return spec, cand, bounds
 
 
+def fuzzify(spec, cand, bounds, rng):
+    """Footprint rows of one candidate from one ``rng.random((m, 8))``
+    block: ``(rel, cost, cost_hi)`` with ``(m, 5)`` parameter blocks."""
+    rel, cost, cost_hi = _fuzzify_arrays(spec, cand.r[None], cand.n[None],
+                                         bounds, rng.random((spec.size, 8)))
+    return rel[0], cost[0], float(cost_hi[0])
+
+
+def extended_rel(rel, topology, grid):
+    """Lower and upper reliability set of one candidate's footprint rows."""
+    lower, upper = _extended_rel(np.asarray(rel)[None], topology, grid)
+    return lower[0], upper[0]
+
+
+def joined_cost(cost, grid):
+    """Lower and upper cost union of one candidate's footprint rows."""
+    lower, upper = _joined_cost(np.asarray(cost)[None],
+                                np.asarray(grid)[None])
+    return lower[0], upper[0]
+
+
 def sample(grid, row):
     """Lower and upper membership of one footprint row on ``grid``."""
     grid = np.asarray(grid, dtype=float)
@@ -103,7 +124,7 @@ def test_discretize_requires_covering_grid():
             cand = Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
                              rng.integers(spec.n_min, spec.n_max + 1,
                                           spec.size))
-            rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, rng)
+            rel, cost, cost_hi = fuzzify(spec, cand, bounds, rng)
             assert np.all(rel[:, 0] >= 0.0) and np.all(rel[:, 4] <= 1.0)
             assert np.all(cost[:, 0] >= 0.0)
             assert np.all(cost[:, 4] <= cost_hi)
@@ -116,7 +137,7 @@ def test_discretize_requires_covering_grid():
 
 def test_generate_zero_draws_degenerates_to_type1():
     spec, cand, bounds = one_stage()
-    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, zeros_rng())
+    rel, cost, _ = fuzzify(spec, cand, bounds, zeros_rng())
     assert np.allclose(rel[0], [0.6, 0.6, 0.8, 0.9, 0.9])
     c = crisp_metrics(spec, cand).cost
     assert np.array_equal(cost[0], [5.0, 5.0, c, 40.0, 40.0])
@@ -124,7 +145,7 @@ def test_generate_zero_draws_degenerates_to_type1():
 
 def test_generate_unit_draws_spans_support():
     spec, cand, bounds = one_stage()
-    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds,
+    rel, cost, cost_hi = fuzzify(spec, cand, bounds,
                                          FixedDraws([1.0] * 8))
     assert np.allclose(rel[0], [0.0, 0.8, 0.8, 0.8, 1.0])
     c = crisp_metrics(spec, cand).cost
@@ -134,7 +155,7 @@ def test_generate_unit_draws_spans_support():
 
 def test_generate_half_draws_hand_values():
     spec, cand, bounds = one_stage()
-    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, FixedDraws([0.5] * 8))
+    rel, cost, _ = fuzzify(spec, cand, bounds, FixedDraws([0.5] * 8))
     assert np.allclose(rel[0], [0.3, 0.7, 0.8, 0.85, 0.95])
     c = crisp_metrics(spec, cand).cost
     assert np.allclose(cost[0], [2.5, (5.0 + c) / 2, c, (40.0 + c) / 2, 45.0])
@@ -145,7 +166,7 @@ def test_generate_draw_order_is_fixed():
     umf_right of the reliability footprint, then the same of the cost one."""
     spec, cand, bounds = one_stage()
     draws = FixedDraws([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
-    rel, cost, _ = _fuzzify_arrays(spec, cand, bounds, draws)
+    rel, cost, _ = fuzzify(spec, cand, bounds, draws)
     assert np.allclose(rel[0, [1, 0, 3, 4]], [0.62, 0.48, 0.87, 0.94])
     c = crisp_metrics(spec, cand).cost
     assert np.allclose(cost[0, [1, 0, 3, 4]],
@@ -179,7 +200,7 @@ def test_generate_always_yields_valid_nested_triangles(case, r_left, r_right,
     every footprint row is nested around its crisp peak."""
     spec, cand, u = case
     bounds = IdealBounds(r_left, r_right, c_left, c_right)
-    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, FixedDraws(u))
+    rel, cost, cost_hi = fuzzify(spec, cand, bounds, FixedDraws(u))
     for rows in (rel, cost):
         assert np.all(rows[:, 0] <= rows[:, 1])
         assert np.all(rows[:, 1] <= rows[:, 2])
@@ -204,9 +225,9 @@ def test_sampled_validation():
             cand = Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
                              rng.integers(spec.n_min, spec.n_max + 1,
                                           spec.size))
-            rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds, rng)
-            sets = (_extended_rel(rel, spec.topology, np.linspace(0, 1, 201)),
-                    _joined_cost(cost, np.linspace(0.0, cost_hi, 201)))
+            rel, cost, cost_hi = fuzzify(spec, cand, bounds, rng)
+            sets = (extended_rel(rel, spec.topology, np.linspace(0, 1, 201)),
+                    joined_cost(cost, np.linspace(0.0, cost_hi, 201)))
             for lower, upper in sets:
                 assert lower.shape == upper.shape == (201,)
                 assert np.all(lower >= 0.0), name
@@ -222,12 +243,12 @@ def test_set_algebra_properties():
     grid = np.linspace(0.0, 10.0, 41)
     for _ in range(50):
         feet = np.sort(rng.uniform(0.0, 10.0, (3, 5)), axis=1)
-        lower, upper = _joined_cost(feet, grid)
+        lower, upper = joined_cost(feet, grid)
         for order in ([1, 0, 2], [2, 1, 0], [0, 2, 1]):
-            lo, up = _joined_cost(feet[order], grid)
+            lo, up = joined_cost(feet[order], grid)
             assert np.array_equal(lo, lower)
             assert np.array_equal(up, upper)
-        lo, up = _joined_cost(np.vstack([feet, feet[:1]]), grid)
+        lo, up = joined_cost(np.vstack([feet, feet[:1]]), grid)
         assert np.array_equal(lo, lower)
         assert np.array_equal(up, upper)
         parts = [sample(grid, row) for row in feet]
@@ -243,7 +264,7 @@ def test_parallel_series_extension_is_complement_of_series():
     grid = np.linspace(0.0, 1.0, 401)
     for _ in range(20):
         rel = np.sort(rng.uniform(0.2, 0.95, (3, 5)), axis=1)
-        lower, upper = _extended_rel(rel, PARALLEL_SERIES, grid)
-        lo_c, up_c = _extended_rel(1.0 - rel[:, ::-1], SERIES_PARALLEL, grid)
+        lower, upper = extended_rel(rel, PARALLEL_SERIES, grid)
+        lo_c, up_c = extended_rel(1.0 - rel[:, ::-1], SERIES_PARALLEL, grid)
         assert np.allclose(lower, lo_c[::-1], rtol=0, atol=1e-9)
         assert np.allclose(upper, up_c[::-1], rtol=0, atol=1e-9)

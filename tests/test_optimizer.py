@@ -1,9 +1,16 @@
 """Tests for the swarm and genetic maximizers and their solve wrappers."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2rrap import (
+    FITNESS_NORMALIZED,
+    FITNESS_RAW,
+    WEIGHT_DATASET_CONSISTENT,
     Candidate,
     GaConfig,
     IdealBounds,
@@ -11,22 +18,30 @@ from it2rrap import (
     SwarmConfig,
     SystemSpec,
     bundled_dataset,
+    constraint_violation,
     constriction,
     crisp_metrics,
+    evaluate_objectives,
     evolve_maximize,
     genetic_solve,
     is_feasible,
+    penalized_fitness,
+    scalarize,
     swarm_maximize,
     swarm_solve,
 )
+from it2rrap import optimizer
+from it2rrap.optimizer import _CandidateScorer
+from tests.draws import FixedDraws
 
 BOX_LO = np.full(4, -5.0)
 BOX_HI = np.full(4, 5.0)
 
 
 def sphere(x):
-    """Concave smoke objective with its maximum, 0, at 0.7 everywhere."""
-    return -float(np.sum((x - 0.7) ** 2))
+    """Concave smoke objective with its maximum, 0, at 0.7 everywhere; one
+    score per row of ``x``."""
+    return -np.sum((x - 0.7) ** 2, axis=-1)
 
 
 def ps_problem():
@@ -154,8 +169,8 @@ def test_swarm_draws_k_before_positions_when_unset():
 def test_swarm_ties_keep_the_first_incumbent():
     config = SwarmConfig(population=12, iterations=3, constriction_k=0.4,
                          seed=5)
-    pos, score, trace, _ = swarm_maximize(lambda x: 1.0, BOX_LO, BOX_HI,
-                                          config)
+    pos, score, trace, _ = swarm_maximize(lambda x: np.ones(len(x)), BOX_LO,
+                                          BOX_HI, config)
     init = np.random.default_rng(5).uniform(BOX_LO, BOX_HI, (12, 4))
     assert score == 1.0
     assert np.all(trace == 1.0)
@@ -174,6 +189,19 @@ def test_evolve_without_variation_never_improves():
     assert np.all(trace == trace[0])
     assert score == pytest.approx(scores.max(), rel=1e-15)
     assert np.array_equal(pos, init[np.argmax(scores)])
+
+
+def test_maximizers_reject_bad_score_rounds():
+    """One score per row, and no NaN, whose ranking the row-order
+    bookkeeping could not keep."""
+    config = SwarmConfig(population=4, iterations=1)
+    with pytest.raises(ValueError, match="not one score each"):
+        swarm_maximize(lambda x: sphere(x)[:-1], BOX_LO, BOX_HI, config)
+    with pytest.raises(ValueError, match="not one score each"):
+        evolve_maximize(lambda x: 1.0, BOX_LO, BOX_HI, GaConfig())
+    with pytest.raises(ValueError, match="NaN"):
+        evolve_maximize(lambda x: np.full(len(x), np.nan), BOX_LO, BOX_HI,
+                        GaConfig())
 
 
 def test_maximizers_reject_bad_boxes():
@@ -268,12 +296,27 @@ def test_solve_echoes_configuration():
     assert res.seed == 0
 
 
+def infeasible_problem():
+    """Limits nothing can satisfy."""
+    spec = SystemSpec(SERIES_PARALLEL, 1000.0, [1e-5, 1e-5], [1.5, 1.5],
+                      [2.0, 3.0], [4.0, 5.0], 1e9, 1.0, 1.0)
+    return spec, IdealBounds(0.6, 0.9, 50.0, 400.0)
+
+
+@pytest.mark.parametrize("grid_size", [1, 0, -5, 201.0, "201", None])
+def test_solves_reject_bad_grid_size_before_searching(grid_size):
+    """No candidate of the infeasible problem reaches the fuzzy pipeline,
+    so only the check before the search can catch a bad grid."""
+    spec, bounds = infeasible_problem()
+    for solve, config in ((swarm_solve, SMALL_SWARM), (genetic_solve, SMALL_GA)):
+        with pytest.raises(ValueError, match="grid_size must be an integer"):
+            solve(spec, bounds, (1.0, 1.0), config, grid_size=grid_size)
+
+
 def test_infeasible_problem_flags_fallback():
     """Limits nothing can satisfy: the run reports the least-violating
     candidate, flagged infeasible, with no fuzzy objective pair."""
-    spec = SystemSpec(SERIES_PARALLEL, 1000.0, [1e-5, 1e-5], [1.5, 1.5],
-                      [2.0, 3.0], [4.0, 5.0], 1e9, 1.0, 1.0)
-    bounds = IdealBounds(0.6, 0.9, 50.0, 400.0)
+    spec, bounds = infeasible_problem()
     for res in (swarm_solve(spec, bounds, (1.0, 1.0), SMALL_SWARM),
                 genetic_solve(spec, bounds, (1.0, 1.0), SMALL_GA)):
         assert not res.feasible
@@ -283,3 +326,150 @@ def test_infeasible_problem_flags_fallback():
         # the fallback still decodes to a structurally valid candidate
         assert np.all((res.best_candidate.n >= spec.n_min)
                       & (res.best_candidate.n <= spec.n_max))
+
+
+# ---------------------------------------------------------------------------
+# scoring a round at once
+# ---------------------------------------------------------------------------
+
+DATASETS = {name: bundled_dataset(name)
+            for name in ("series-parallel", "parallel-series")}
+# anchors that collapse every footprint, so both spike fallbacks run; the
+# cost anchors are inverted, which only the raw fitness accepts
+ZERO_SPREAD = IdealBounds(1.0, 0.0, 1e12, 0.0)
+
+
+def decode(spec, x):
+    """The allocation a search position stands for."""
+    return Candidate(x[:spec.size], np.floor(x[spec.size:] + 0.5))
+
+
+def fuzz_draws(spec, seed):
+    """The fuzzification block a run with ``seed`` shares across its
+    evaluations."""
+    stream = np.random.default_rng(np.random.SeedSequence(seed,
+                                                          spawn_key=(1,)))
+    return stream.random((spec.size, 8))
+
+
+def raw_fitness(spec, bounds, xi, mode, grid_size, draws, cand):
+    """Fitness of a feasible candidate, one candidate at a time."""
+    return scalarize(evaluate_objectives(spec, cand, bounds,
+                                         FixedDraws(draws.ravel()),
+                                         grid_size), xi, bounds, mode)
+
+
+def scorer_state(scorer):
+    """Everything a later penalty or the reported result depends on."""
+    best, least = scorer.best_feasible, scorer.least_violating
+    if best is not None:
+        raw, cand, metrics, objectives = best
+        best = (raw, cand.r.tolist(), cand.n.tolist(), metrics, objectives)
+    if least is not None:
+        violation, score, cand, metrics = least
+        least = (violation, score, cand.r.tolist(), cand.n.tolist(), metrics)
+    return scorer.evaluations, scorer.worst_feasible, best, least
+
+
+@st.composite
+def scoring_cases(draw):
+    dataset = DATASETS[draw(st.sampled_from(sorted(DATASETS)))]
+    spec = dataset.spec
+    xi = draw(st.sampled_from(dataset.weight_pairs))
+    if draw(st.booleans()):
+        bounds, mode = ZERO_SPREAD, FITNESS_RAW
+    else:
+        bounds = dataset.bounds_for(xi)
+        mode = draw(st.sampled_from([FITNESS_NORMALIZED, FITNESS_RAW]))
+    # a chunk holds 16384 // (m * grid) rows: at grids 2 and 11 a batch is
+    # one chunk, at 201 a series-parallel batch of 9 or more rows splits,
+    # and at 1601 any batch of 3 or more rows does
+    grid_size = draw(st.sampled_from([2, 11, 201, 1601]))
+    row = st.tuples(*([st.floats(spec.r_min, spec.r_max)] * spec.size
+                      + [st.floats(spec.n_min, spec.n_max)] * spec.size))
+    batches = draw(st.lists(st.lists(row, min_size=1, max_size=12),
+                            min_size=1, max_size=3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return (spec, bounds, xi, mode, grid_size, seed,
+            [np.array(batch, dtype=float) for batch in batches])
+
+
+@settings(max_examples=60, deadline=None)
+@given(scoring_cases())
+def test_batched_scoring_equals_one_row_scoring(case):
+    """A round scored at once gives, bit for bit, the scores and the scorer
+    state of its rows scored one at a time, and both equal the
+    one-candidate reference: crisp metrics, the fuzzy pipeline for feasible
+    candidates, and penalties from the worst feasible fitness seen so far
+    in evaluation order."""
+    spec, bounds, xi, mode, grid_size, seed, batches = case
+    args = (spec, bounds, xi, seed, WEIGHT_DATASET_CONSISTENT, mode,
+            grid_size)
+    batched, serial = _CandidateScorer(*args), _CandidateScorer(*args)
+    draws = fuzz_draws(spec, seed)
+    worst = None
+    for batch in batches:
+        got = batched(batch)
+        one_by_one = np.concatenate([serial(batch[i:i + 1])
+                                     for i in range(len(batch))])
+        assert np.array_equal(got, one_by_one)
+        assert scorer_state(batched) == scorer_state(serial)
+        for x, score in zip(batch, got):
+            cand = decode(spec, x)
+            violation = constraint_violation(spec, crisp_metrics(spec, cand))
+            if violation == 0.0:
+                want = raw_fitness(spec, bounds, xi, mode, grid_size, draws,
+                                   cand)
+                worst = want if worst is None else min(worst, want)
+            else:
+                want = penalized_fitness(violation, worst)
+            assert score == want
+
+
+# ---------------------------------------------------------------------------
+# constraint-handling invariants of whole solves
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(DATASETS)), st.integers(0, 4),
+       st.sampled_from(["pso", "ga"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(6, 16), st.integers(2, 8), st.sampled_from([11, 51]))
+def test_solve_invariants(name, xi_index, algorithm, seed, population,
+                          iterations, grid_size):
+    """The trace never decreases and ends at the reported best fitness; a
+    feasible run reports the largest raw fitness of its feasible
+    evaluations; the reported metrics are the crisp metrics of the
+    reported candidate."""
+    dataset = DATASETS[name]
+    spec = dataset.spec
+    xi = dataset.weight_pairs[xi_index]
+    bounds = dataset.bounds_for(xi)
+    evaluated = []
+
+    class Recording(_CandidateScorer):
+        def __call__(self, x):
+            evaluated.extend(x.copy())
+            return super().__call__(x)
+
+    with mock.patch.object(optimizer, "_CandidateScorer", Recording):
+        if algorithm == "pso":
+            res = swarm_solve(spec, bounds, xi, SwarmConfig(
+                population=population, iterations=iterations, seed=seed),
+                grid_size=grid_size)
+        else:
+            res = genetic_solve(spec, bounds, xi, GaConfig(
+                population=population, generations=iterations, seed=seed),
+                grid_size=grid_size)
+
+    assert res.evaluations == len(evaluated)
+    assert np.all(np.diff(res.trace) >= 0.0)
+    assert res.trace[-1] == res.best_fitness
+    assert res.best_metrics == crisp_metrics(spec, res.best_candidate)
+    if res.feasible:
+        draws = fuzz_draws(spec, seed)
+        cands = [decode(spec, x) for x in evaluated]
+        feasible = [cand for cand in cands
+                    if is_feasible(spec, crisp_metrics(spec, cand))]
+        assert res.best_fitness == max(
+            raw_fitness(spec, bounds, xi, FITNESS_NORMALIZED, grid_size,
+                        draws, cand) for cand in feasible)

@@ -23,14 +23,9 @@ from it2rrap import (
     subsystem_reliability,
     validate_candidate,
 )
-from it2rrap.sysmodel import (
-    _cost_terms_matrix,
-    _extended_rel,
-    _fuzzify_arrays,
-    _joined_cost,
-)
+from it2rrap.sysmodel import _cost_terms_matrix
 from tests.draws import zeros_rng
-from tests.test_fuzzy import sample
+from tests.test_fuzzy import extended_rel, fuzzify, joined_cost, sample
 
 
 def sp_spec():
@@ -276,7 +271,7 @@ def test_fuzzify_matches_sequential_generation():
     each from its own row of draws, reliability before cost."""
     spec, bounds = sp_spec(), sp_bounds()
     cand = SP_REFERENCE
-    rel, cost, cost_hi = _fuzzify_arrays(spec, cand, bounds,
+    rel, cost, cost_hi = fuzzify(spec, cand, bounds,
                                          np.random.default_rng(99))
     draws = np.random.default_rng(99).random((spec.size, 8))
     stages = subsystem_reliability(spec.topology, cand.r, cand.n)
@@ -298,7 +293,7 @@ def test_fuzzify_matches_sequential_generation():
 def test_fuzzify_clamps_peak_outside_anchors():
     spec, bounds = sp_spec(), sp_bounds()
     cand = Candidate([0.95] * 10, [3] * 10)  # stage reliabilities ~0.9999
-    rel, _, _ = _fuzzify_arrays(spec, cand, bounds, zeros_rng())
+    rel, _, _ = fuzzify(spec, cand, bounds, zeros_rng())
     stages = subsystem_reliability(spec.topology, cand.r, cand.n)
     for (umf_left, lmf_left, peak, lmf_right, umf_right), p in zip(rel, stages):
         assert lmf_right == umf_right == peak == pytest.approx(float(p))
@@ -309,7 +304,7 @@ def test_fuzzify_supports_cost_anchor_above_limit():
     """A cost anchor beyond the cost limit stretches the support; the
     footprint must stay inside it instead of failing."""
     spec, bounds = ps_spec(), ps_bounds()  # c_right 180 > cost_limit 175
-    _, cost, cost_hi = _fuzzify_arrays(spec, PS_REFERENCE, bounds,
+    _, cost, cost_hi = fuzzify(spec, PS_REFERENCE, bounds,
                                        np.random.default_rng(5))
     # every cost term sits below the 180 anchor, so the clamped right end is
     # the anchor itself and the widened support pins the upper foot there
@@ -325,7 +320,7 @@ def test_aggregate_single_set_is_identity():
     """One stage's cost footprint is its own union."""
     grid = np.linspace(0.0, 10.0, 41)
     row = [2.0, 3.5, 5.0, 6.0, 9.0]
-    assert np.array_equal(_joined_cost(np.array([row]), grid),
+    assert np.array_equal(joined_cost(np.array([row]), grid),
                           sample(grid, row))
 
 
@@ -333,7 +328,7 @@ def test_aggregate_cost_is_pointwise_join():
     grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     rows = np.array([[0.0, 1.0, 2.0, 3.0, 4.0],
                      [1.0, 2.0, 3.0, 4.0, 4.0]])
-    lower, upper = _joined_cost(rows, grid)
+    lower, upper = joined_cost(rows, grid)
     assert np.allclose(lower, [0.0, 0.0, 1.0, 1.0, 0.0])
     assert np.allclose(upper, [0.0, 0.5, 1.0, 1.0, 0.0])
 
@@ -357,7 +352,7 @@ def test_extend_single_stage_is_identity():
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
         for _ in range(10):
             row = random_footprint(rng, rng.uniform(0.4, 0.9), 0.05, 0.2)
-            out = _extended_rel(np.array([row]), topology, grid)
+            out = extended_rel(np.array([row]), topology, grid)
             assert np.allclose(out, sample(grid, row), rtol=0, atol=1e-12)
 
 
@@ -367,7 +362,7 @@ def test_extend_two_stage_product_matches_quadratic_inversion():
     mf1 = (0.55, 0.6, 0.7, 0.78, 0.82)
     mf2 = (0.6, 0.65, 0.75, 0.8, 0.85)
     grid = np.linspace(0.0, 1.0, 201)
-    lower, upper = _extended_rel(np.array([mf1, mf2]), SERIES_PARALLEL, grid)
+    lower, upper = extended_rel(np.array([mf1, mf2]), SERIES_PARALLEL, grid)
 
     def rising_level(y, l1, p1, l2, p2):
         d1, d2 = p1 - l1, p2 - l2
@@ -396,7 +391,7 @@ def test_extend_parallel_series_two_stage_hand_case():
     rows = np.array([[0.3, 0.35, 0.4, 0.5, 0.55],
                      [0.45, 0.5, 0.6, 0.65, 0.7]])
     grid = np.linspace(0.0, 1.0, 2001)
-    _, upper = _extended_rel(rows, PARALLEL_SERIES, grid)
+    _, upper = extended_rel(rows, PARALLEL_SERIES, grid)
     lo_foot = 1.0 - (1.0 - 0.3) * (1.0 - 0.45)   # 0.615
     hi_foot = 1.0 - (1.0 - 0.55) * (1.0 - 0.7)   # 0.865
     apex = 1.0 - (1.0 - 0.4) * (1.0 - 0.6)       # 0.76
@@ -412,7 +407,7 @@ def test_extend_parallel_series_two_stage_hand_case():
 def test_extend_zero_spread_snaps_to_nearest_grid_point():
     spikes = np.array([[0.7003] * 5, [0.8001] * 5])
     grid = np.linspace(0.0, 1.0, 201)
-    lower, upper = _extended_rel(spikes, SERIES_PARALLEL, grid)
+    lower, upper = extended_rel(spikes, SERIES_PARALLEL, grid)
     want = 0.7003 * 0.8001
     idx = int(np.argmin(np.abs(grid - want)))
     assert upper[idx] == 1.0
@@ -428,8 +423,8 @@ def test_extend_is_order_invariant():
                                rng.random(4))
                      for p in rng.uniform(0.5, 0.9, 4)])
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
-        a = _extended_rel(rows, topology, grid)
-        b = _extended_rel(rows[::-1], topology, grid)
+        a = extended_rel(rows, topology, grid)
+        b = extended_rel(rows[::-1], topology, grid)
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -440,7 +435,7 @@ def test_extend_bounds_are_unimodal_and_nested():
         for _ in range(10):
             rows = np.array([random_footprint(rng, p, 0.02, 0.15)
                              for p in rng.uniform(0.45, 0.95, 3)])
-            lower, upper = _extended_rel(rows, topology, grid)
+            lower, upper = extended_rel(rows, topology, grid)
             assert np.all(lower <= upper)
             for side in (lower, upper):
                 k = int(np.argmax(side))

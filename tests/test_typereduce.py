@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from it2rrap import CentroidInterval, centroid_arrays, defuzzify
+from it2rrap import CentroidInterval, centroid_rows, defuzzify
 
 
 def lp_centroid(grid, lower, upper):
     """Both centroid endpoints as linear programs, independent of the
-    switch-point theorem :func:`centroid_arrays` relies on.
+    switch-point theorem :func:`centroid_rows` relies on.
 
     The endpoints extremise ``sum(x w) / sum(w)`` over ``lower <= w <=
     upper``.  The Charnes-Cooper substitution ``t = s w`` with ``sum(t) = 1``
@@ -73,14 +73,14 @@ def test_centroid_endpoints_reject_inversion():
 def test_two_point_hand_enumeration():
     """N=2 instance small enough to enumerate the three patterns by hand."""
     s = (np.array([0.0, 1.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0]))
-    assert np.allclose(centroid_arrays(*s), [1.0 / 3.0, 2.0 / 3.0],
+    assert np.allclose(centroid_rows(*s), [1.0 / 3.0, 2.0 / 3.0],
                        rtol=0, atol=1e-12)
 
 
 def test_five_point_frozen_values():
     """Symmetric five-point instance; endpoints frozen from the enumeration
     reference (19/48 and 29/48, re-derived by hand)."""
-    left, right = centroid_arrays(np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
+    left, right = centroid_rows(np.array([0.0, 0.25, 0.5, 0.75, 1.0]),
                                   np.array([0.1, 0.3, 0.9, 0.3, 0.1]),
                                   np.array([0.4, 0.7, 1.0, 0.7, 0.4]))
     assert np.isclose(left, 0.39583333333333326, atol=1e-12)
@@ -92,7 +92,7 @@ def test_five_point_frozen_values():
 def test_six_point_frozen_values():
     """Asymmetric six-point instance; endpoints frozen from the enumeration
     reference."""
-    left, right = centroid_arrays(np.array([0.0, 0.1, 0.45, 0.6, 0.8, 1.0]),
+    left, right = centroid_rows(np.array([0.0, 0.1, 0.45, 0.6, 0.8, 1.0]),
                                   np.array([0.0, 0.2, 0.55, 0.35, 0.05, 0.0]),
                                   np.array([0.1, 0.5, 0.8, 0.75, 0.3, 0.05]))
     assert np.isclose(left, 0.3532258064516129, atol=1e-12)
@@ -103,7 +103,7 @@ def test_type1_degenerate_collapses_to_plain_centroid():
     grid = np.linspace(0.0, 1.0, 101)
     tri = np.clip(1.0 - np.abs(grid - 0.3) / 0.2, 0.0, 1.0)
     expected = float(np.sum(grid * tri) / np.sum(tri))
-    ci = CentroidInterval(*centroid_arrays(grid, tri, tri))
+    ci = CentroidInterval(*centroid_rows(grid, tri, tri))
     assert ci.right - ci.left < 1e-12
     assert np.isclose(ci.left, expected, atol=1e-9)
     assert np.isclose(defuzzify(ci), expected, atol=1e-9)
@@ -113,7 +113,7 @@ def test_symmetric_footprint_gives_symmetric_interval():
     grid = np.linspace(0.0, 0.8, 41)  # symmetric around 0.4
     upper = np.clip(1.0 - np.abs(grid - 0.4) / 0.35, 0.0, 1.0)
     lower = np.clip(1.0 - np.abs(grid - 0.4) / 0.15, 0.0, 1.0)
-    ci = CentroidInterval(*centroid_arrays(grid, lower, upper))
+    ci = CentroidInterval(*centroid_rows(grid, lower, upper))
     assert np.isclose(ci.left + ci.right, 0.8, atol=1e-9)
     assert np.isclose(defuzzify(ci), 0.4, atol=1e-9)
 
@@ -124,19 +124,38 @@ def test_affine_grid_change_moves_centroid_accordingly():
         grid, lower, upper = random_sampled(rng)
         a = rng.uniform(0.1, 5.0)
         b = rng.uniform(-3.0, 3.0)
-        moved = centroid_arrays(a * grid + b, lower, upper)
-        want = a * np.array(centroid_arrays(grid, lower, upper)) + b
+        moved = centroid_rows(a * grid + b, lower, upper)
+        want = a * np.array(centroid_rows(grid, lower, upper)) + b
         assert np.allclose(moved, want, rtol=0, atol=1e-9 * max(1.0, a))
 
 
 def test_zero_mass_rejected():
     s = (np.array([0.0, 0.5, 1.0]), np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError, match="no mass"):
-        centroid_arrays(*s)
+        centroid_rows(*s)
+
+
+def test_rows_reduce_like_single_sets():
+    """A batch of sets, each on its own grid or all on one shared grid,
+    gives every set its own endpoints bit for bit; one massless row
+    rejects the batch."""
+    rng = np.random.default_rng(11)
+    sets = [random_sampled(rng, n=17) for _ in range(6)]
+    grids, lowers, uppers = (np.array(part) for part in zip(*sets))
+    left, right = centroid_rows(grids, lowers, uppers)
+    shared_left, shared_right = centroid_rows(grids[0], lowers, uppers)
+    assert left.shape == right.shape == (6,)
+    for i, (grid, lower, upper) in enumerate(sets):
+        assert (left[i], right[i]) == centroid_rows(grid, lower, upper)
+        assert (shared_left[i], shared_right[i]) == \
+            centroid_rows(grids[0], lower, upper)
+    uppers[3] = lowers[3] = 0.0
+    with pytest.raises(ValueError, match="no mass"):
+        centroid_rows(grids, lowers, uppers)
 
 
 def test_single_support_point_returns_that_abscissa():
-    left, right = centroid_arrays(np.array([0.0, 0.5, 1.0]), np.zeros(3),
+    left, right = centroid_rows(np.array([0.0, 0.5, 1.0]), np.zeros(3),
                                   np.array([0.0, 0.7, 0.0]))
     assert left == right == 0.5
 
@@ -148,7 +167,7 @@ def test_centroid_matches_lp_oracle_on_random_instances():
     for _ in range(400):
         s = random_sampled(rng)
         lp_left, lp_right = lp_centroid(*s)
-        left, right = centroid_arrays(*s)
+        left, right = centroid_rows(*s)
         assert abs(left - lp_left) <= 1e-12 * max(1.0, abs(lp_left))
         assert abs(right - lp_right) <= 1e-12 * max(1.0, abs(lp_right))
         assert left <= right
@@ -185,7 +204,7 @@ def test_centroid_brackets_upper_centroid_within_upper_support(s):
     with grades 1 and 1e-6 on the grid (0, 1) the right end is 1 + 8e-11.
     """
     grid, lower, upper = s
-    left, right = centroid_arrays(grid, lower, upper)
+    left, right = centroid_rows(grid, lower, upper)
     scale = max(1.0, float(np.max(np.abs(grid))))
     tol = 1e-12 * scale
     upper_centroid = np.sum(grid * upper) / np.sum(upper)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -220,13 +221,22 @@ def _parse_expectation(text: str) -> Tuple[str, float, float]:
         raise ValueError(f"unknown metric {name!r}; choose from "
                          f"{', '.join(_METRIC_NAMES)}")
     value, _, tol = rest.partition(":")
-    return name, float(value), float(tol) if tol else 1e-6
+    want, tol = float(value), float(tol) if tol else 1e-6
+    # a NaN target or tolerance fails every check and an infinite one passes
+    # every check, so neither tests anything
+    if not math.isfinite(want):
+        raise ValueError(f"expectation {text!r} needs a finite value")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"expectation {text!r} needs a finite, "
+                         "non-negative tolerance")
+    return name, want, tol
 
 
 def _cmd_verify(args) -> int:
     dataset = _open_dataset(args.dataset)
     spec = dataset.spec
     cand = Candidate(_parse_floats(args.r), [int(t) for t in args.n.split(",")])
+    expectations = [_parse_expectation(text) for text in args.expect or []]
     metrics = crisp_metrics(spec, cand, args.weight_formula)
     other = (WEIGHT_AS_WRITTEN if args.weight_formula ==
              WEIGHT_DATASET_CONSISTENT else WEIGHT_DATASET_CONSISTENT)
@@ -236,8 +246,7 @@ def _cmd_verify(args) -> int:
     print(f"            {crisp_metrics(spec, cand, other).weight!r} ({other})")
     print(f"volume      {metrics.volume!r}")
     failures = 0
-    for text in args.expect or []:
-        name, want, tol = _parse_expectation(text)
+    for name, want, tol in expectations:
         got = getattr(metrics, name)
         ok = abs(got - want) <= tol
         failures += 0 if ok else 1

@@ -335,21 +335,28 @@ def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
 
     ``left``/``peak``/``right`` hold ``k`` triangles per row, shaped
     ``(..., k)``, and ``grid`` holds each row's grid, shaped ``(..., G)``;
-    a one-dimensional grid is shared by all rows.
+    a one-dimensional grid is shared by all rows.  A foot on the wrong side
+    of its peak counts as a zero-width side, which holds only the apex.
     """
     g = grid[..., None, :]
-    lf = left[..., None]
+    # a foot past its peak (one ulp, say) would otherwise give a steep
+    # negative-width side instead of none
+    lf = np.minimum(left, peak)[..., None]
     pk = peak[..., None]
-    rt = right[..., None]
-    # in place, so two (..., k, G) blocks are alive at once, not five
+    rt = np.maximum(right, peak)[..., None]
+    # in place, so two (..., k, G) blocks are alive at once, not five;
+    # a side narrower than a few ulps may overflow to inf, which the clip
+    # below maps to 0 or the other side's value like any steep side
     out = g - lf
     desc = rt - g
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out /= pk - lf
         desc /= rt - pk
-    np.copyto(out, 0.0, where=(g <= lf) | (g >= pk))
-    np.copyto(out, desc, where=(g > pk) & (g < rt))
-    np.copyto(out, 1.0, where=(g == pk))
+    # fmin skips the 0/0 at the apex of a zero-width side; both sides of a
+    # zero-width triangle give 0/0 there, the one NaN that can survive
+    np.fmin(out, desc, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.copyto(out, 1.0, where=np.isnan(out))
     return out
 
 
@@ -396,20 +403,20 @@ def _extended_rel(rel: np.ndarray, topology: str,
     ``grid``, shaped ``(rows, G)``.
 
     ``rel`` holds one footprint row per sub-system and candidate, shaped
-    ``(rows, m, 5)`` as built by :func:`_fuzzify_arrays`.  Both bounds come
-    from :func:`_extension_bound` with one ladder level per grid point: the
-    UMF from the outer feet, the LMF from the inner ones.  A candidate whose
+    ``(rows, m, 5)`` as built by :func:`_fuzzify_arrays`, and ``grid`` is
+    ``linspace(0, 1, G)``, which also serves as the ladder of membership
+    levels.  Both bounds come from :func:`_extension_bound`: the UMF from
+    the outer feet, the LMF from the inner ones.  A candidate whose
     footprint is too narrow to touch any grid point collapses to a unit
     spike at the grid point nearest the image of its peaks, so zero-spread
     inputs stay within half a grid cell of the crisp value.
     """
-    ladder = np.linspace(0.0, 1.0, grid.size)
     upper = _extension_bound(grid, rel[..., 0], rel[..., 2], rel[..., 4],
-                             topology, ladder)
+                             topology, grid)
     lower = _extension_bound(grid, rel[..., 1], rel[..., 2], rel[..., 3],
-                             topology, ladder)
+                             topology, grid)
     np.minimum(lower, upper, out=lower)
-    missed = np.flatnonzero(~np.any(upper > 0.0, axis=-1))
+    missed = np.flatnonzero(upper.max(axis=-1) <= 0.0)
     if missed.size:
         peaks = _system_from_stages(topology, rel[missed, :, 2])
         spike = np.zeros((missed.size, grid.size))
@@ -431,7 +438,7 @@ def _joined_cost(cost: np.ndarray,
     of vanishing.
     """
     uppers = _tri_rows(grid, cost[..., 0], cost[..., 2], cost[..., 4])
-    rows, stages = np.nonzero(~np.any(uppers > 0.0, axis=-1))
+    rows, stages = np.nonzero(uppers.max(axis=-1) <= 0.0)
     spikes = rows, stages, _nearest_index(grid[rows], cost[rows, stages, 2])
     uppers[spikes] = 1.0
     upper = uppers.max(axis=-2)
@@ -439,6 +446,16 @@ def _joined_cost(cost: np.ndarray,
     lowers = _tri_rows(grid, cost[..., 1], cost[..., 2], cost[..., 3])
     lowers[spikes] = 1.0
     return lowers.max(axis=-2), upper
+
+
+def _cost_grids(ramp: np.ndarray, hi: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """Fill row ``i`` of ``out`` with ``np.linspace(0, hi[i], G)``, bit for
+    bit, from the ramp ``arange(G)``: like linspace, take each point as
+    ``ramp * (hi / (G - 1))`` and set the last one to ``hi``."""
+    np.multiply(ramp, (hi / (len(ramp) - 1))[:, None], out=out)
+    out[:, -1] = hi
+    return out
 
 
 def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
@@ -453,21 +470,26 @@ def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
     ``(rows, m, grid_size)`` temporary within ``_BLOCK_FLOATS``.
     """
     rel, cost, cost_hi = _fuzzify_arrays(spec, r, n, bounds, draws)
-    rel_grid = np.linspace(0.0, 1.0, grid_size)
-    y_r = np.empty(len(r))
-    y_c = np.empty(len(r))
     step = max(1, _BLOCK_FLOATS // (spec.size * grid_size))
+    # grids[0] holds the reliability grid on every row and grids[1] each
+    # row's cost grid, so one call type-reduces both sets of a chunk
+    rel_grid = np.linspace(0.0, 1.0, grid_size)
+    ramp = np.arange(grid_size, dtype=float)
+    grids = np.empty((2, min(step, len(r)), grid_size))
+    grids[0] = rel_grid
+    objectives = np.empty((2, len(r)))
     for start in range(0, len(r), step):
         rows = slice(start, start + step)
-        lower, upper = _extended_rel(rel[rows], spec.topology, rel_grid)
-        y_r[rows] = defuzzify(CentroidInterval(
-            *centroid_rows(rel_grid, lower, upper)))
-        cost_grid = np.ascontiguousarray(
-            np.linspace(0.0, cost_hi[rows], grid_size, axis=-1))
-        lower, upper = _joined_cost(cost[rows], cost_grid)
-        y_c[rows] = defuzzify(CentroidInterval(
-            *centroid_rows(cost_grid, lower, upper)))
-    return y_r, y_c
+        hi = cost_hi[rows]
+        chunk = grids[:, :len(hi)]
+        _cost_grids(ramp, hi, out=chunk[1])
+        rel_lower, rel_upper = _extended_rel(rel[rows], spec.topology,
+                                             rel_grid)
+        cost_lower, cost_upper = _joined_cost(cost[rows], chunk[1])
+        objectives[:, rows] = defuzzify(CentroidInterval(*centroid_rows(
+            chunk, np.stack([rel_lower, cost_lower]),
+            np.stack([rel_upper, cost_upper]))))
+    return objectives[0], objectives[1]
 
 
 def checked_grid_size(grid_size) -> int:

@@ -179,6 +179,33 @@ def test_verify_rejects_unknown_metric(capsys):
     assert "unknown metric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expect,reason", [
+    ("volume=0:inf", "tolerance"),
+    ("volume=0:nan", "tolerance"),
+    ("volume=101:-1", "tolerance"),
+    ("volume=101:-inf", "tolerance"),
+    ("volume=nan:1", "finite value"),
+    ("volume=nan", "finite value"),
+    ("volume=inf:1", "finite value"),
+    ("cost=-inf", "finite value"),
+])
+def test_verify_rejects_checks_that_cannot_fail_or_pass(capsys, expect,
+                                                       reason):
+    """An infinite tolerance passes any value and a NaN target or tolerance
+    fails every one, so such checks are rejected before any is run."""
+    assert main(["verify", "parallel-series", "--r", PS_R, "--n", PS_N,
+                 "--expect", "volume=101:0.5", "--expect", expect]) == 1
+    captured = capsys.readouterr()
+    assert reason in captured.err
+    assert "pass:" not in captured.out
+
+
+def test_verify_accepts_zero_tolerance(capsys):
+    assert main(["verify", "parallel-series", "--r", PS_R, "--n", PS_N,
+                 "--expect", "volume=101:0"]) == 0
+    assert "pass: volume" in capsys.readouterr().out
+
+
 def test_verify_rejects_nan_reliability(capsys):
     r = ("nan,0.769185,0.826255,0.755018,0.72388,0.807148,0.765235,"
          "0.887747,0.875649,0.860357")

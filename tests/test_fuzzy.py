@@ -64,9 +64,90 @@ def sample(grid, row):
     return lower, upper
 
 
+def masked_tri_rows(grid, left, peak, right):
+    """Triangle memberships by explicit masks, the oracle for
+    :func:`_tri_rows`: zero at and outside the feet and on a side whose
+    foot lies past the peak, each side's ratio strictly between foot and
+    peak, and 1 on the apex."""
+    g = grid[..., None, :]
+    lf = left[..., None]
+    pk = peak[..., None]
+    rt = right[..., None]
+    out = g - lf
+    desc = rt - g
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out /= pk - lf
+        desc /= rt - pk
+    np.copyto(out, 0.0, where=(g <= lf) | (g >= pk))
+    np.copyto(out, desc, where=(g > pk) & (g < rt))
+    np.copyto(out, 1.0, where=(g == pk))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sampling triangles on a grid
 # ---------------------------------------------------------------------------
+
+@st.composite
+def _triangles_on_grid(draw):
+    """A grid of 2, 3 or 201 points and a few triangles whose apex and feet
+    sit on grid points, one ulp off them, past the peak by one ulp, outside
+    the grid, on the peak (zero-width sides) or anywhere."""
+    size = draw(st.sampled_from([2, 3, 201]))
+    hi = draw(st.floats(1e-3, 1e3))
+    grid = np.linspace(0.0, hi, size)
+    anywhere = st.floats(-0.5 * hi, 1.5 * hi)
+    on_grid = st.integers(0, size - 1).map(lambda i: grid[i])
+
+    def near(x):
+        return st.sampled_from([x, np.nextafter(x, -np.inf),
+                                np.nextafter(x, np.inf)])
+
+    def foot(peak, outward):
+        past = np.nextafter(peak, -outward * np.inf)
+        return draw(st.one_of(
+            st.just(peak),                               # zero-width side
+            st.just(past),                               # one ulp past it
+            on_grid.flatmap(near),
+            st.just(-hi if outward < 0 else 2.0 * hi),   # off the grid
+            anywhere.map(lambda x: peak + outward * abs(x - peak)),
+        ))
+
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        peak = draw(st.one_of(on_grid.flatmap(near), anywhere))
+        rows.append((foot(peak, -1), peak, foot(peak, 1)))
+    left, peak, right = np.array(rows).T
+    return grid, left[None], peak[None], right[None]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_triangles_on_grid())
+def test_tri_rows_equals_masked_oracle_bit_for_bit(case):
+    grid, left, peak, right = case
+    got = _tri_rows(grid, left, peak, right)
+    want = masked_tri_rows(grid, left, peak, right)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the same triangles on a per-row grid
+    got = _tri_rows(grid[None], left, peak, right)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_tri_rows_zero_width_sides_hand_cases():
+    """A zero-width side holds only the apex, and a foot one ulp past the
+    peak counts as zero width, not as a near-vertical wrong-way side."""
+    grid = np.array([0.0, 0.5, 1.0])
+    below = np.nextafter(0.5, 0.0)
+    above = np.nextafter(0.5, 1.0)
+    left = np.array([[0.5, 0.0, 0.5, 0.0, above]])
+    peak = np.array([[0.5, 0.5, 0.5, 0.5, 0.5]])
+    right = np.array([[1.0, 0.5, 0.5, below, 1.0]])
+    got = _tri_rows(grid, left, peak, right)
+    assert np.array_equal(got, [[[0.0, 1.0, 0.0]] * 5])
+    assert np.array_equal(got, masked_tri_rows(grid, left, peak, right))
+
 
 def test_eval_membership_hand_values():
     row = (0.5, 0.6, 0.8, 0.9, 0.95)

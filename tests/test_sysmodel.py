@@ -23,8 +23,8 @@ from it2rrap import (
     subsystem_reliability,
     validate_candidate,
 )
-from it2rrap.sysmodel import _cost_terms_matrix
-from tests.draws import zeros_rng
+from it2rrap.sysmodel import _cost_grids, _cost_terms_matrix
+from tests.draws import FixedDraws, zeros_rng
 from tests.test_fuzzy import extended_rel, fuzzify, joined_cost, sample
 
 
@@ -457,33 +457,97 @@ def test_extend_validation():
 # the fuzzy objective pipeline
 # ---------------------------------------------------------------------------
 
-# evaluate_objectives(spec, cand, bounds, default_rng(seed), 201) for seeds
-# 0-4, recorded while a second, object-based composition of the fuzzify /
-# extend / union / type-reduce steps still existed and agreed to 1e-12
+# evaluate_objectives(spec, cand, bounds, default_rng(seed), grid) for seeds
+# 0-4.  The grid-201 values were recorded while a second, object-based
+# composition of the fuzzify / extend / union / type-reduce steps still
+# existed and agreed to 1e-12; the grid-1601 values (one row per chunk) and
+# the grid-2 values were recorded from the triangle sampler that selected
+# each side by explicit masks (tests.test_fuzzy.masked_tri_rows).
 GOLDEN_OBJECTIVES = {
-    "sp": [(0.5234615127859894, 169.36815518439863),
-           (0.5471817775951878, 166.08823849121046),
-           (0.5253986950935101, 160.43596044045398),
-           (0.5551966482638803, 162.89622333264242),
-           (0.5668090458311086, 160.41660549816015)],
-    "ps": [(0.8531524497790552, 59.37146114885482),
-           (0.8846034292690765, 62.417867090587286),
-           (0.8415506310454397, 67.44893143676731),
-           (0.8816777727795788, 64.90110587533579),
-           (0.8572085649562253, 62.72516486136549)],
+    ("sp", 201): [(0.5234615127859894, 169.36815518439863),
+                  (0.5471817775951878, 166.08823849121046),
+                  (0.5253986950935101, 160.43596044045398),
+                  (0.5551966482638803, 162.89622333264242),
+                  (0.5668090458311086, 160.41660549816015)],
+    ("ps", 201): [(0.8531524497790552, 59.37146114885482),
+                  (0.8846034292690765, 62.417867090587286),
+                  (0.8415506310454397, 67.44893143676731),
+                  (0.8816777727795788, 64.90110587533579),
+                  (0.8572085649562253, 62.72516486136549)],
+    ("sp", 1601): [(0.5233127299154536, 169.00029387364282),
+                   (0.5470232030406246, 165.76897370584047),
+                   (0.5252520468026372, 160.08751201551385),
+                   (0.5550833089484968, 162.5252715583901),
+                   (0.5666614941606966, 160.09667656195742)],
+    ("ps", 1601): [(0.8533106911247856, 59.39858813444789),
+                   (0.8846146077404755, 62.40136887625938),
+                   (0.8417357052202086, 67.46012288540821),
+                   (0.8816832380868493, 64.90364005519285),
+                   (0.8573190117129732, 62.730986412150585)],
+    # two points: each set's mass lands on a single grid point
+    ("sp", 2): [(1.0, 0.0)] * 5,
+    ("ps", 2): [(1.0, 0.0)] * 5,
 }
 
+# the same candidates under draw blocks whose every uniform is exactly 0 or
+# 1, so feet sit on their anchors, on the peak (zero-width sides) or on the
+# ends of the support; each pattern is repeated for every stage, and the
+# values were recorded with the masked triangle sampler
+CORNER_DRAWS = ([0.0] * 8, [1.0] * 8, [0, 1, 1, 0, 1, 0, 0, 1],
+                [1, 0, 0, 1, 0, 1, 1, 0])
+GOLDEN_CORNER_OBJECTIVES = {
+    ("sp", 201): [(0.5057960524314317, 164.72268986384384),
+                  (0.5000000000001178, 276.49999999970566),
+                  (0.480026725574459, 178.4004627298915),
+                  (0.5050000000001178, 236.4074999985622)],
+    ("ps", 201): [(0.9189734176066386, 70.52414741814229),
+                  (0.49999999999999595, 89.99999999986863),
+                  (0.49999999999999084, 70.47838518281668),
+                  (0.9189739499352818, 73.27695736212581)],
+    ("sp", 1601): [(0.5059857607583274, 163.97850057953457),
+                   (0.49999999999540456, 276.4999999769996),
+                   (0.4798746413201148, 177.65080585539187),
+                   (0.5062499999954045, 235.19781252493215)],
+    ("ps", 1601): [(0.9189851809365863, 70.55950014783483),
+                   (0.4999999999999916, 89.99999999944974),
+                   (0.4999999999999208, 70.51847596540813),
+                   (0.918985770915423, 73.24314134185937)],
+    ("sp", 2): [(1.0, 0.0)] * 4,
+    ("ps", 2): [(1.0, 0.0)] * 4,
+}
 
-@pytest.mark.parametrize("name,make_spec,make_bounds,cand", [
-    ("sp", sp_spec, sp_bounds, SP_REFERENCE),
-    ("ps", ps_spec, ps_bounds, PS_REFERENCE),
-], ids=["sp", "ps"])
-def test_pipeline_golden_values(name, make_spec, make_bounds, cand):
+_GOLDEN_CASES = {"sp": (sp_spec, sp_bounds, SP_REFERENCE),
+                 "ps": (ps_spec, ps_bounds, PS_REFERENCE)}
+
+
+@pytest.mark.parametrize("name,grid", list(GOLDEN_OBJECTIVES),
+                         ids=["sp", "ps", "sp-1601", "ps-1601", "sp-2", "ps-2"])
+def test_pipeline_golden_values(name, grid):
+    make_spec, make_bounds, cand = _GOLDEN_CASES[name]
     spec, bounds = make_spec(), make_bounds()
     got = [evaluate_objectives(spec, cand, bounds, np.random.default_rng(seed),
-                               201)
+                               grid)
            for seed in range(5)]
-    assert got == GOLDEN_OBJECTIVES[name]
+    assert got == GOLDEN_OBJECTIVES[name, grid]
+    got = [evaluate_objectives(spec, cand, bounds,
+                               FixedDraws(np.tile(pattern, spec.size)), grid)
+           for pattern in CORNER_DRAWS]
+    assert got == GOLDEN_CORNER_OBJECTIVES[name, grid]
+
+
+@pytest.mark.parametrize("size", [2, 3, 201, 1601])
+def test_cost_grids_equal_linspace(size):
+    """The ramp-built cost grids are np.linspace's points, bit for bit."""
+    rng = np.random.default_rng(size)
+    hi = np.concatenate([[sp_spec().cost_limit, ps_spec().cost_limit],
+                         rng.uniform(1.0, 2000.0, 200),
+                         553.0 * (1.0 + rng.uniform(0.0, 1e-12, 20)),
+                         10.0 ** rng.uniform(-6.0, 6.0, 50)])
+    got = _cost_grids(np.arange(size, dtype=float), hi,
+                      np.empty((hi.size, size)))
+    want = np.linspace(0.0, hi, size, axis=-1)
+    assert np.array_equal(got, want)
+    assert not np.any(np.signbit(got))
 
 
 def test_pipeline_is_deterministic_per_seed():

@@ -48,7 +48,6 @@ from .sysmodel import (
     dominates,
     evaluate_objectives,
     is_feasible,
-    penalized_fitness,
     scalarize,
     subsystem_reliability,
     validate_candidate,

@@ -9,12 +9,12 @@ Both score a whole round at once: the score function takes the round's
 ``(P, D)`` position matrix and returns ``P`` scores, and the searchers then
 do their member, swarm and elite bookkeeping in row order.  The allocation
 scorer runs the crisp metrics of the whole round as one matrix and only
-the feasible rows through the fuzzy pipeline.  Infeasible candidates score
-below every feasible fitness observed before them, in row order, by their
-constraint violation, so a round scored at once gives exactly the scores
-that scoring its rows one at a time would.
+the feasible rows through the fuzzy pipeline.  An infeasible candidate
+scores a fixed floor, which no feasible fitness falls below, minus its
+constraint violation, so each score depends on its row alone.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -33,7 +33,6 @@ from .sysmodel import (
     _violation_rows,
     checked_grid_size,
     checked_weights,
-    penalized_fitness,
     scalarize,
 )
 
@@ -73,13 +72,14 @@ class SwarmConfig:
             raise ValueError("population must be at least 2")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.cognitive <= 0.0 or self.social <= 0.0:
-            raise ValueError("pull coefficients must be positive")
+        if not (0.0 < self.cognitive < math.inf
+                and 0.0 < self.social < math.inf):
+            raise ValueError("pull coefficients must be positive and finite")
         if self.constriction_k is not None and not (
                 0.0 <= self.constriction_k <= 1.0):
             raise ValueError("constriction_k must lie in [0, 1]")
-        if self.velocity_clamp <= 0.0:
-            raise ValueError("velocity_clamp must be positive")
+        if not 0.0 < self.velocity_clamp < math.inf:
+            raise ValueError("velocity_clamp must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -285,19 +285,20 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 class _CandidateScorer:
-    """Penalty-handled fitness of encoded allocations, a round at a time.
+    """Fitness of encoded allocations under Deb's feasibility rules, a round
+    at a time.
 
     Feasibility is checked on cheap crisp metrics first; only feasible
-    candidates run the fuzzy pipeline.  The fuzzification uniforms are
-    drawn once per run (from a stream separate from the mover's) and
-    shared by every evaluation, making the fitness a deterministic
-    function of the candidate within the run, so best scores cached by
-    the searchers stay comparable across rounds.
-
-    The state a penalty or a reported best depends on (the worst and best
-    feasible fitness and the least violation seen so far) is updated in
-    row order, so scoring a round at once equals scoring its rows one after
-    another.
+    candidates run the fuzzy pipeline.  An infeasible candidate scores
+    ``floor - violation``.  The floor is the fitness of ``y_r = 0`` and
+    ``y_c = max(cost_limit, c_right)``, a lower bound on every feasible
+    fitness: no stage of a feasible candidate costs more than the limit, so
+    its cost grid ends at or below that bound.  Feasible candidates thus
+    outrank infeasible ones, which rank by violation alone.  The
+    fuzzification uniforms are drawn once per run (from a stream separate
+    from the mover's) and shared by every evaluation, so each score is a
+    fixed function of its row and best scores cached by the searchers stay
+    comparable across rounds.
     """
 
     def __init__(self, spec: SystemSpec, bounds: IdealBounds,
@@ -310,76 +311,52 @@ class _CandidateScorer:
         self.weight_variant = weight_variant
         self.fitness_mode = fitness_mode
         self.grid_size = checked_grid_size(grid_size)
+        self.floor = scalarize((0.0, max(spec.cost_limit, bounds.c_right)),
+                               self.xi, bounds, fitness_mode)
         self.evaluations = 0
-        self.worst_feasible = None
-        self.best_feasible = None
-        self.least_violating = None
         stream = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(_EVAL_STREAM,)))
         self._draws = stream.random((spec.size, 8))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Scores of the rows of ``x``, a ``(P, 2m)`` matrix of positions."""
+    def decode(self, x: np.ndarray):
+        """Reliabilities, redundancy counts, crisp metrics and constraint
+        violations of the rows of ``x``, a ``(P, 2m)`` matrix of positions."""
         m = self.spec.size
         r = np.array(x[:, :m], dtype=float)
         n = np.floor(x[:, m:] + 0.5).astype(int)
         _validate_rows(self.spec, r, n)
         metrics = _metrics_matrix(self.spec, r, n, self.weight_variant)
-        violation = _violation_rows(self.spec, *metrics[1:])
+        return r, n, metrics, _violation_rows(self.spec, *metrics[1:])
+
+    def objectives(self, r: np.ndarray, n: np.ndarray):
+        """Defuzzified ``(y_r, y_c)`` arrays of feasible rows."""
+        return _objective_rows(self.spec, r, n, self.bounds, self._draws,
+                               self.grid_size)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Scores of the rows of ``x``, a ``(P, 2m)`` matrix of positions."""
+        r, n, _, violation = self.decode(x)
         self.evaluations += len(x)
-        feasible = np.flatnonzero(violation == 0.0)
-        infeasible = np.flatnonzero(violation != 0.0)
-
-        raw = np.full(len(x), np.inf)
-        if feasible.size:
-            y_r, y_c = _objective_rows(self.spec, r[feasible], n[feasible],
-                                       self.bounds, self._draws,
-                                       self.grid_size)
-            raw[feasible] = scalarize((y_r, y_c), self.xi, self.bounds,
-                                      self.fitness_mode)
-            top = int(np.argmax(raw[feasible]))
-            if (self.best_feasible is None
-                    or raw[feasible[top]] > self.best_feasible[0]):
-                i = feasible[top]
-                self.best_feasible = (float(raw[i]), Candidate(r[i], n[i]),
-                                      _metric_set(metrics, i),
-                                      (float(y_r[top]), float(y_c[top])))
-        # worst feasible fitness known before each row, inf while none is;
-        # penalties then start from base 0
-        worst = np.minimum.accumulate(raw)
-        if self.worst_feasible is not None:
-            np.minimum(worst, self.worst_feasible, out=worst)
-        if worst[-1] < np.inf:
-            self.worst_feasible = float(worst[-1])
-        scores = raw  # feasible rows keep their raw fitness
-        if infeasible.size:
-            known = worst[infeasible]
-            scores[infeasible] = penalized_fitness(
-                violation[infeasible], np.where(known < np.inf, known, 0.0))
-            low = int(np.argmin(violation[infeasible]))
-            if (self.least_violating is None
-                    or violation[infeasible[low]] < self.least_violating[0]):
-                i = infeasible[low]
-                self.least_violating = (float(violation[i]), float(scores[i]),
-                                        Candidate(r[i], n[i]),
-                                        _metric_set(metrics, i))
+        scores = self.floor - violation
+        feasible = violation == 0.0
+        if np.any(feasible):
+            scores[feasible] = scalarize(
+                self.objectives(r[feasible], n[feasible]), self.xi,
+                self.bounds, self.fitness_mode)
         return scores
-
-
-def _metric_set(metrics: Tuple[np.ndarray, ...], row: int) -> MetricSet:
-    return MetricSet(*(float(values[row]) for values in metrics))
 
 
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one seeded search run.
 
-    ``best_candidate`` is the best feasible allocation found; only when a
-    run never evaluates a feasible candidate does it fall back to the least
+    ``best_candidate`` is the searcher's best: the best feasible allocation
+    found, or, when a run never evaluates a feasible candidate, the least
     violating one, flagged by ``feasible``.  ``best_objectives`` holds the
     type-reduced (reliability, cost) pair and is None for that fallback,
-    whose ``best_fitness`` is its penalized score when first seen.
-    ``trace`` is the running best penalty-handled fitness per round.
+    whose ``best_fitness`` is ``floor - violation`` (see
+    ``_CandidateScorer``).  ``trace`` is the searcher's best score after
+    each round, so ``trace[-1] == best_fitness``.
     """
 
     algorithm: str
@@ -406,14 +383,14 @@ def _search_box(spec: SystemSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _finish(algorithm: str, scorer: _CandidateScorer, seed: int,
-            k_used: Optional[float], trace: np.ndarray) -> RunResult:
-    if scorer.best_feasible is not None:
-        fitness, cand, metrics, objectives = scorer.best_feasible
-        feasible = True
-    else:
-        _, fitness, cand, metrics = scorer.least_violating
-        objectives = None
-        feasible = False
+            k_used: Optional[float], best_pos: np.ndarray, best_score: float,
+            trace: np.ndarray) -> RunResult:
+    """The run's result, read from the searcher's best position."""
+    r, n, metrics, violation = scorer.decode(best_pos[None])
+    feasible = bool(violation[0] == 0.0)
+    objectives = None
+    if feasible:
+        objectives = tuple(float(y[0]) for y in scorer.objectives(r, n))
     return RunResult(
         algorithm=algorithm,
         seed=seed,
@@ -424,10 +401,10 @@ def _finish(algorithm: str, scorer: _CandidateScorer, seed: int,
         k_used=k_used,
         evaluations=scorer.evaluations,
         feasible=feasible,
-        best_candidate=cand,
-        best_metrics=metrics,
+        best_candidate=Candidate(r[0], n[0]),
+        best_metrics=MetricSet(*(float(values[0]) for values in metrics)),
         best_objectives=objectives,
-        best_fitness=float(fitness),
+        best_fitness=float(best_score),
         trace=trace,
     )
 
@@ -442,8 +419,10 @@ def swarm_solve(spec: SystemSpec, bounds: IdealBounds,
     scorer = _CandidateScorer(spec, bounds, xi, config.seed, weight_variant,
                               fitness_mode, grid_size)
     lower, upper = _search_box(spec)
-    _, _, trace, k = swarm_maximize(scorer, lower, upper, config)
-    return _finish("swarm", scorer, config.seed, k, trace)
+    best_pos, best_score, trace, k = swarm_maximize(scorer, lower, upper,
+                                                    config)
+    return _finish("swarm", scorer, config.seed, k, best_pos, best_score,
+                   trace)
 
 
 def genetic_solve(spec: SystemSpec, bounds: IdealBounds,
@@ -456,5 +435,7 @@ def genetic_solve(spec: SystemSpec, bounds: IdealBounds,
     scorer = _CandidateScorer(spec, bounds, xi, config.seed, weight_variant,
                               fitness_mode, grid_size)
     lower, upper = _search_box(spec)
-    _, _, trace = evolve_maximize(scorer, lower, upper, config)
-    return _finish("genetic", scorer, config.seed, None, trace)
+    best_pos, best_score, trace = evolve_maximize(scorer, lower, upper,
+                                                  config)
+    return _finish("genetic", scorer, config.seed, None, best_pos,
+                   best_score, trace)

@@ -48,7 +48,6 @@ __all__ = [
     "scalarize",
     "constraint_violation",
     "is_feasible",
-    "penalized_fitness",
     "dominates",
 ]
 
@@ -562,7 +561,7 @@ def scalarize(objectives: tuple[float, float], xi: tuple[float, float],
 
 
 # ---------------------------------------------------------------------------
-# constraints, penalties, dominance
+# constraints, dominance
 # ---------------------------------------------------------------------------
 
 def constraint_violation(spec: SystemSpec, metrics: MetricSet) -> float:
@@ -582,21 +581,6 @@ def _violation_rows(spec: SystemSpec, cost, weight, volume) -> np.ndarray:
 def is_feasible(spec: SystemSpec, metrics: MetricSet) -> bool:
     """True when cost, weight and volume all respect their limits."""
     return constraint_violation(spec, metrics) == 0.0
-
-
-def penalized_fitness(violation: float,
-                      worst_feasible_so_far: float | None) -> float:
-    """Fitness of an infeasible candidate; higher is better.
-
-    The score is the worst feasible fitness seen so far (zero before any
-    feasible point is known) minus the candidate's total constraint
-    violation, which is positive for an infeasible candidate and so places
-    it strictly below every feasible score observed so far.  Feasible
-    candidates keep their raw fitness and never come here.  Both arguments
-    may also be arrays, one entry per candidate.
-    """
-    base = 0.0 if worst_feasible_so_far is None else worst_feasible_so_far
-    return base - violation
 
 
 def dominates(a: MetricSet, b: MetricSet) -> bool:

@@ -25,7 +25,6 @@ from it2rrap import (
     evolve_maximize,
     genetic_solve,
     is_feasible,
-    penalized_fitness,
     scalarize,
     swarm_maximize,
     swarm_solve,
@@ -106,6 +105,15 @@ def test_swarm_config_validation():
         SwarmConfig(social=-1.0)
     with pytest.raises(ValueError, match="velocity_clamp"):
         SwarmConfig(velocity_clamp=0.0)
+    # NaN passes a "<= 0" test; left in, a NaN or infinite pull fails only
+    # later, in decoding, and a clamp inside rng.uniform
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SwarmConfig(cognitive=value)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SwarmConfig(social=value)
+        with pytest.raises(ValueError, match="velocity_clamp"):
+            SwarmConfig(velocity_clamp=value)
 
 
 def test_ga_config_validation():
@@ -313,6 +321,19 @@ def test_solves_reject_bad_grid_size_before_searching(grid_size):
             solve(spec, bounds, (1.0, 1.0), config, grid_size=grid_size)
 
 
+def test_normalized_solves_reject_degenerate_cost_anchors_before_searching():
+    """The floor is set before the search, so anchors that cannot normalise
+    cost stop even a run whose candidates are all infeasible."""
+    spec, _ = infeasible_problem()
+    degenerate = IdealBounds(0.6, 0.9, 400.0, 400.0)
+    for solve, config in ((swarm_solve, SMALL_SWARM), (genetic_solve, SMALL_GA)):
+        with pytest.raises(ValueError, match="c_left < c_right"):
+            solve(spec, degenerate, (1.0, 1.0), config)
+        # raw fitness needs no cost span
+        assert not solve(spec, degenerate, (1.0, 1.0), config,
+                         fitness_mode=FITNESS_RAW).feasible
+
+
 def test_infeasible_problem_flags_fallback():
     """Limits nothing can satisfy: the run reports the least-violating
     candidate, flagged infeasible, with no fuzzy objective pair."""
@@ -323,6 +344,9 @@ def test_infeasible_problem_flags_fallback():
         assert res.best_objectives is None
         assert res.best_fitness < 0.0
         assert not is_feasible(spec, res.best_metrics)
+        assert res.best_fitness == floor(spec, bounds, (1.0, 1.0),
+                                         FITNESS_NORMALIZED) \
+            - constraint_violation(spec, res.best_metrics)
         # the fallback still decodes to a structurally valid candidate
         assert np.all((res.best_candidate.n >= spec.n_min)
                       & (res.best_candidate.n <= spec.n_max))
@@ -359,24 +383,27 @@ def raw_fitness(spec, bounds, xi, mode, grid_size, draws, cand):
                                          grid_size), xi, bounds, mode)
 
 
-def scorer_state(scorer):
-    """Everything a later penalty or the reported result depends on."""
-    best, least = scorer.best_feasible, scorer.least_violating
-    if best is not None:
-        raw, cand, metrics, objectives = best
-        best = (raw, cand.r.tolist(), cand.n.tolist(), metrics, objectives)
-    if least is not None:
-        violation, score, cand, metrics = least
-        least = (violation, score, cand.r.tolist(), cand.n.tolist(), metrics)
-    return scorer.evaluations, scorer.worst_feasible, best, least
+def floor(spec, bounds, xi, mode):
+    """The fitness of ``y_r = 0`` at the end of the widest feasible cost
+    grid, below which every infeasible row scores."""
+    return scalarize((0.0, max(spec.cost_limit, bounds.c_right)), xi, bounds,
+                     mode)
+
+
+def reference_score(spec, bounds, xi, mode, grid_size, draws, cand):
+    """One candidate's score, built from the one-candidate functions."""
+    violation = constraint_violation(spec, crisp_metrics(spec, cand))
+    if violation == 0.0:
+        return raw_fitness(spec, bounds, xi, mode, grid_size, draws, cand)
+    return floor(spec, bounds, xi, mode) - violation
 
 
 @st.composite
-def scoring_cases(draw):
+def scoring_cases(draw, zero_spread=True):
     dataset = DATASETS[draw(st.sampled_from(sorted(DATASETS)))]
     spec = dataset.spec
     xi = draw(st.sampled_from(dataset.weight_pairs))
-    if draw(st.booleans()):
+    if zero_spread and draw(st.booleans()):
         bounds, mode = ZERO_SPREAD, FITNESS_RAW
     else:
         bounds = dataset.bounds_for(xi)
@@ -397,33 +424,47 @@ def scoring_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(scoring_cases())
 def test_batched_scoring_equals_one_row_scoring(case):
-    """A round scored at once gives, bit for bit, the scores and the scorer
-    state of its rows scored one at a time, and both equal the
-    one-candidate reference: crisp metrics, the fuzzy pipeline for feasible
-    candidates, and penalties from the worst feasible fitness seen so far
-    in evaluation order."""
+    """A round scored at once gives, bit for bit, the scores of its rows
+    scored one at a time, and both equal the one-candidate reference: the
+    fuzzy pipeline for feasible candidates, the floor minus the violation
+    for infeasible ones."""
     spec, bounds, xi, mode, grid_size, seed, batches = case
     args = (spec, bounds, xi, seed, WEIGHT_DATASET_CONSISTENT, mode,
             grid_size)
     batched, serial = _CandidateScorer(*args), _CandidateScorer(*args)
     draws = fuzz_draws(spec, seed)
-    worst = None
     for batch in batches:
         got = batched(batch)
         one_by_one = np.concatenate([serial(batch[i:i + 1])
                                      for i in range(len(batch))])
         assert np.array_equal(got, one_by_one)
-        assert scorer_state(batched) == scorer_state(serial)
-        for x, score in zip(batch, got):
-            cand = decode(spec, x)
-            violation = constraint_violation(spec, crisp_metrics(spec, cand))
-            if violation == 0.0:
-                want = raw_fitness(spec, bounds, xi, mode, grid_size, draws,
-                                   cand)
-                worst = want if worst is None else min(worst, want)
-            else:
-                want = penalized_fitness(violation, worst)
-            assert score == want
+        assert got.tolist() == [
+            reference_score(spec, bounds, xi, mode, grid_size, draws,
+                            decode(spec, x)) for x in batch]
+
+
+@settings(max_examples=60, deadline=None)
+@given(scoring_cases(zero_spread=False))
+def test_feasible_rows_outrank_infeasible_rows(case):
+    """Deb's rules as one scalar, at the bundled anchors: every feasible
+    score lies above the floor and every infeasible one is the floor minus
+    its violation, so feasible rows outrank infeasible ones and infeasible
+    rows rank by violation alone."""
+    spec, bounds, xi, mode, grid_size, seed, batches = case
+    scorer = _CandidateScorer(spec, bounds, xi, seed,
+                              WEIGHT_DATASET_CONSISTENT, mode, grid_size)
+    assert scorer.floor == floor(spec, bounds, xi, mode)
+    batch = np.concatenate(batches)
+    got = scorer(batch)
+    violation = np.array([
+        constraint_violation(spec, crisp_metrics(spec, decode(spec, x)))
+        for x in batch])
+    feasible = violation == 0.0
+    assert np.all(got[feasible] > scorer.floor)
+    assert np.array_equal(got[~feasible], scorer.floor - violation[~feasible])
+    assert np.all(got[~feasible] <= scorer.floor)
+    if np.any(feasible) and not np.all(feasible):
+        assert np.max(got[~feasible]) < np.min(got[feasible])
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +479,22 @@ def test_solve_invariants(name, xi_index, algorithm, seed, population,
                           iterations, grid_size):
     """The trace never decreases and ends at the reported best fitness; a
     feasible run reports the largest raw fitness of its feasible
-    evaluations; the reported metrics are the crisp metrics of the
-    reported candidate."""
+    evaluations, an infeasible one the floor minus its least violation;
+    the reported metrics are the crisp metrics of the reported candidate.
+    From the first round that scores a feasible row on, the searcher's
+    best, which guides the swarm, stays at or above the floor, so it is
+    never infeasible again."""
     dataset = DATASETS[name]
     spec = dataset.spec
     xi = dataset.weight_pairs[xi_index]
     bounds = dataset.bounds_for(xi)
-    evaluated = []
+    evaluated, rounds = [], []
 
     class Recording(_CandidateScorer):
         def __call__(self, x):
             evaluated.extend(x.copy())
+            rounds.append([constraint_violation(
+                spec, crisp_metrics(spec, decode(spec, row))) for row in x])
             return super().__call__(x)
 
     with mock.patch.object(optimizer, "_CandidateScorer", Recording):
@@ -462,9 +508,19 @@ def test_solve_invariants(name, xi_index, algorithm, seed, population,
                 grid_size=grid_size)
 
     assert res.evaluations == len(evaluated)
+    assert len(rounds) == len(res.trace)
     assert np.all(np.diff(res.trace) >= 0.0)
     assert res.trace[-1] == res.best_fitness
     assert res.best_metrics == crisp_metrics(spec, res.best_candidate)
+    lowest = floor(spec, bounds, xi, FITNESS_NORMALIZED)
+    first = next((t for t, violations in enumerate(rounds)
+                  if 0.0 in violations), None)
+    assert res.feasible == (first is not None)
+    assert is_feasible(spec, res.best_metrics) == res.feasible
+    if first is not None:
+        assert np.all(res.trace[first:] >= lowest)
+    else:
+        assert res.best_fitness == lowest - min(map(min, rounds))
     if res.feasible:
         draws = fuzz_draws(spec, seed)
         cands = [decode(spec, x) for x in evaluated]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from it2rrap import (
+    FITNESS_NORMALIZED,
     FITNESS_RAW,
     PARALLEL_SERIES,
     SERIES_PARALLEL,
@@ -18,11 +19,11 @@ from it2rrap import (
     dominates,
     evaluate_objectives,
     is_feasible,
-    penalized_fitness,
     scalarize,
     subsystem_reliability,
     validate_candidate,
 )
+from it2rrap.optimizer import _CandidateScorer
 from it2rrap.sysmodel import _cost_grids, _cost_terms_matrix
 from tests.draws import FixedDraws, zeros_rng
 from tests.test_fuzzy import extended_rel, fuzzify, joined_cost, sample
@@ -604,7 +605,7 @@ def test_pipeline_rejects_tiny_grid():
 
 
 # ---------------------------------------------------------------------------
-# fitness, penalty, dominance
+# fitness, the infeasible floor, dominance
 # ---------------------------------------------------------------------------
 
 def test_scalarize_hand_values():
@@ -629,6 +630,21 @@ def test_scalarize_validation():
     assert scalarize((0.7, 300.0), (1.0, 0.0), degenerate) == pytest.approx(0.7)
 
 
+def scorer(spec, bounds, xi=(1.0, 1.0), mode=FITNESS_NORMALIZED):
+    """The solvers' scorer for one run of seed 0 at grid 201."""
+    return _CandidateScorer(spec, bounds, xi, 0, WEIGHT_DATASET_CONSISTENT,
+                            mode, 201)
+
+
+def score(run, *cands):
+    """Scores of candidates, encoded as the solvers' search positions."""
+    return run(np.array([np.concatenate([c.r, c.n]) for c in cands]))
+
+
+# 15 over the series-parallel volume limit, exactly: 304 against 289
+VOLUME_15 = Candidate([0.6] * 10, [1, 1, 4, 1, 4, 4, 1, 2, 4, 4])
+
+
 def test_penalty_hand_values():
     spec = sp_spec()
     feasible = MetricSet(0.9, 400.0, 480.0, 280.0)
@@ -637,8 +653,18 @@ def test_penalty_hand_values():
     over = MetricSet(0.9, 400.0, 498.0, 280.0)  # 15 over the weight limit
     violation = constraint_violation(spec, over)
     assert violation == pytest.approx(15.0)
-    assert penalized_fitness(violation, 0.3) == pytest.approx(-14.7)
-    assert penalized_fitness(violation, None) == pytest.approx(-15.0)
+    assert constraint_violation(spec, crisp_metrics(spec, VOLUME_15)) == 15.0
+    # the floor is the fitness of y_r = 0 at y_c = max(553, 470.195913)
+    normalized = scorer(spec, sp_bounds())
+    assert normalized.floor == -(553 - 185.607332) / (470.195913 - 185.607332)
+    assert normalized.floor == -1.2909606798313527
+    assert score(normalized, VOLUME_15)[0] == normalized.floor - 15.0
+    raw = scorer(spec, sp_bounds(), mode=FITNESS_RAW)
+    assert raw.floor == -553.0
+    assert score(raw, VOLUME_15)[0] == -568.0
+    reliability_only = scorer(spec, sp_bounds(), xi=(1.0, 0.0))
+    assert reliability_only.floor == 0.0
+    assert score(reliability_only, VOLUME_15)[0] == -15.0
     both = MetricSet(0.9, 400.0, 493.0, 291.0)
     assert constraint_violation(spec, both) == pytest.approx(12.0)
     assert not is_feasible(spec, both)
@@ -649,23 +675,41 @@ def test_cost_limit_joins_the_constraint_set():
     over = MetricSet(0.95, 578.0, 480.0, 280.0)
     assert constraint_violation(spec, over) == pytest.approx(25.0)
     assert not is_feasible(spec, over)
-    assert penalized_fitness(constraint_violation(spec, over), 0.3) == \
-        pytest.approx(-24.7)
+    # the reference row with every r raised: only the cost limit binds
+    near = Candidate(SP_REFERENCE.r + 0.02, SP_REFERENCE.n)   # C = 544.7
+    past = Candidate(SP_REFERENCE.r + 0.025, SP_REFERENCE.n)  # C = 578.9
+    assert is_feasible(spec, crisp_metrics(spec, near))
+    metrics = crisp_metrics(spec, past)
+    assert constraint_violation(spec, metrics) == metrics.cost - 553.0
+    run = scorer(spec, sp_bounds())
+    got = score(run, near, past)
+    assert got[1] == run.floor - (metrics.cost - 553.0)
+    assert got[1] < run.floor < got[0]
 
 
 def test_infeasible_scores_below_observed_feasible():
     spec = sp_spec()
     rng = np.random.default_rng(21)
-    worst = 0.05
     for _ in range(100):
         w = rng.uniform(400.0, 700.0)
         v = rng.uniform(200.0, 400.0)
         m = MetricSet(0.9, 400.0, w, v)
         violation = constraint_violation(spec, m)
         assert is_feasible(spec, m) == (violation == 0.0)
-        if violation > 0.0:
-            assert penalized_fitness(violation, worst) < worst
-            assert penalized_fitness(violation, None) < 0.0
+    # 100 random in-box rows: every feasible score lies above the floor,
+    # every infeasible one is the floor minus its violation
+    cands = [Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
+                       rng.integers(spec.n_min, 4, spec.size))
+             for _ in range(100)]
+    run = scorer(spec, sp_bounds())
+    got = score(run, *cands)
+    violations = np.array([constraint_violation(spec, crisp_metrics(spec, c))
+                           for c in cands])
+    assert 0 < np.sum(violations == 0.0) < 100
+    assert np.all(got[violations == 0.0] > run.floor)
+    assert np.array_equal(got[violations > 0.0],
+                          run.floor - violations[violations > 0.0])
+    assert np.max(got[violations > 0.0]) < np.min(got[violations == 0.0])
 
 
 def test_dominates_hand_cases():

@@ -180,20 +180,19 @@ def _cmd_solve(args) -> int:
     for xi in weights:
         bounds = dataset.bounds_for(xi)
         for seed in seeds:
+            # the solver is looked up as a module global per solve, so a
+            # wrapper set over it (a profiler's span, say) sees every call
             if args.algorithm == "pso":
+                solve = swarm_solve
                 config = SwarmConfig(population=args.population,
                                      iterations=args.iterations, seed=seed)
-                res = swarm_solve(spec, bounds, xi, config,
-                                  weight_variant=args.weight_formula,
-                                  fitness_mode=args.fitness,
-                                  grid_size=args.grid_size)
             else:
+                solve = genetic_solve
                 config = GaConfig(population=args.population,
                                   generations=args.iterations, seed=seed)
-                res = genetic_solve(spec, bounds, xi, config,
-                                    weight_variant=args.weight_formula,
-                                    fitness_mode=args.fitness,
-                                    grid_size=args.grid_size)
+            res = solve(spec, bounds, xi, config,
+                        weight_variant=args.weight_formula,
+                        fitness_mode=args.fitness, grid_size=args.grid_size)
             rec = _run_record(args.dataset, args.population, args.iterations,
                               res)
             records.append(rec)
@@ -304,8 +303,8 @@ def _cmd_compare(args) -> int:
               f"{second}_n,{second}_mean,{second}_sd,{second}_median,"
               "t,t_p,f,f_p")
     lines = [header]
-    print("one-way statistics per objective"
-          " (proxy for a joint multivariate comparison)")
+    print("statistics per objective: with two groups the one-way F test"
+          " is the t test (F = t^2, same p-value)")
     for xi in weight_pairs:
         for side in (first, second):
             got = len(groups.get((side, xi), {"y_r": []})["y_r"])

@@ -27,6 +27,7 @@ from .sysmodel import (
     IdealBounds,
     MetricSet,
     SystemSpec,
+    _checked_int,
     _metrics_matrix,
     _objective_rows,
     _validate_rows,
@@ -68,10 +69,9 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError("population must be at least 2")
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
+        _checked_int("population", self.population, 2)
+        _checked_int("iterations", self.iterations, 1)
+        _checked_int("seed", self.seed, 0)
         if not (0.0 < self.cognitive < math.inf
                 and 0.0 < self.social < math.inf):
             raise ValueError("pull coefficients must be positive and finite")
@@ -95,17 +95,15 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.population < 2:
-            raise ValueError("population must be at least 2")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
+        _checked_int("population", self.population, 2)
+        _checked_int("generations", self.generations, 1)
+        _checked_int("seed", self.seed, 0)
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must lie in [0, 1]")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise ValueError("mutation_rate must lie in [0, 1]")
-        if self.tournament < 1:
-            raise ValueError("tournament must be at least 1")
-        if not 0 <= self.elitism < self.population:
+        _checked_int("tournament", self.tournament, 1)
+        if _checked_int("elitism", self.elitism, 0) >= self.population:
             raise ValueError("elitism must be smaller than the population")
 
 
@@ -246,10 +244,7 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
     trace = np.empty(config.generations)
     trace[0] = best_score
     for gen in range(1, config.generations):
-        order = np.argsort(-scores, kind="stable")
-        keep = order[:config.elitism]
-        elites = pop[keep].copy()
-        elite_scores = scores[keep].copy()
+        keep = np.argsort(-scores, kind="stable")[:config.elitism]
         need = config.population - config.elitism
         children = []
         while len(children) < need:
@@ -268,10 +263,9 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
             if rng.random() < config.mutation_rate:
                 gene = int(rng.integers(dims))
                 kids[i, gene] = rng.uniform(lower[gene], upper[gene])
-        kid_scores = _round_scores(score_fn, kids)
-        pop = np.vstack([elites, kids]) if config.elitism else kids
-        scores = np.concatenate([elite_scores, kid_scores]) \
-            if config.elitism else kid_scores
+        # the elites (no rows at zero elitism) keep their scores
+        scores = np.concatenate([scores[keep], _round_scores(score_fn, kids)])
+        pop = np.vstack([pop[keep], kids])
         gen_best = int(np.argmax(scores))
         if float(scores[gen_best]) > best_score:
             best_score = float(scores[gen_best])

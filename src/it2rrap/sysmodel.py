@@ -266,6 +266,22 @@ def crisp_metrics(spec: SystemSpec, cand: Candidate,
 # fuzzification
 # ---------------------------------------------------------------------------
 
+def _footprints(peak: np.ndarray, left, right, end,
+                u: np.ndarray) -> np.ndarray:
+    """The five footprint columns of stage triangles on ``[0, end]`` from
+    their anchors and ``(m, 4)`` draws, as :func:`_fuzzify_arrays` lays out."""
+    left = np.minimum(left, peak)
+    right = np.maximum(right, peak)
+    end = np.maximum(end, right)
+    return np.stack([
+        left - left * u[:, 1],
+        left + (peak - left) * u[:, 0],
+        peak,
+        right - (right - peak) * u[:, 2],
+        right + (end - right) * u[:, 3],
+    ], axis=-1)
+
+
 def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
                     bounds: IdealBounds, draws: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -289,29 +305,10 @@ def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
     the clamped right end whenever a cost anchor or peak exceeds the limit,
     since the support must cover the whole triangle.
     """
-    u = draws
-    p = subsystem_reliability(spec.topology, r, n)
-    left = np.minimum(bounds.r_left, p)
-    right = np.maximum(bounds.r_right, p)
-    rel = np.stack([
-        left - left * u[:, 1],                 # umf_left, support starts at 0
-        left + (p - left) * u[:, 0],           # lmf_left
-        p,
-        right - (right - p) * u[:, 2],         # lmf_right
-        right + (1.0 - right) * u[:, 3],       # umf_right, support ends at 1
-    ], axis=-1)
-
-    c = _cost_terms_matrix(spec, r, n)
-    cleft = np.minimum(bounds.c_left, c)
-    cright = np.maximum(bounds.c_right, c)
-    chigh = np.maximum(spec.cost_limit, cright)
-    cost = np.stack([
-        cleft - cleft * u[:, 5],
-        cleft + (c - cleft) * u[:, 4],
-        c,
-        cright - (cright - c) * u[:, 6],
-        cright + (chigh - cright) * u[:, 7],
-    ], axis=-1)
+    rel = _footprints(subsystem_reliability(spec.topology, r, n),
+                      bounds.r_left, bounds.r_right, 1.0, draws[:, :4])
+    cost = _footprints(_cost_terms_matrix(spec, r, n), bounds.c_left,
+                       bounds.c_right, spec.cost_limit, draws[:, 4:])
     cost_hi = np.maximum(spec.cost_limit, np.max(cost[..., 4], axis=-1))
     return rel, cost, cost_hi
 
@@ -359,10 +356,19 @@ def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
     return out
 
 
-def _nearest_index(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index of the grid point closest to each value, first on ties;
-    ``grid`` is ``(G,)`` or one grid per value, ``(len(values), G)``."""
-    return np.argmin(np.abs(grid - values[:, None]), axis=-1)
+def _spikes(upper: np.ndarray, grid: np.ndarray, apex) -> tuple:
+    """Index into ``upper`` of one unit spike per empty set: the grid point
+    nearest the set's apex, first on ties.  ``upper`` holds one set per
+    leading index on a ``grid`` that broadcasts against it; a set is empty
+    when its upper bound misses every grid point.  ``apex(sets)`` gives the
+    apexes of the sets picked by ``sets`` and runs only if some set is empty.
+    """
+    sets = np.nonzero(upper.max(axis=-1) <= 0.0)
+    nearest = sets[0]
+    if nearest.size:
+        grids = np.broadcast_to(grid, upper.shape)[sets]
+        nearest = np.argmin(np.abs(grids - apex(sets)[:, None]), axis=-1)
+    return *sets, nearest
 
 
 def _extension_bound(grid: np.ndarray, feet_left: np.ndarray, peaks: np.ndarray,
@@ -405,23 +411,19 @@ def _extended_rel(rel: np.ndarray, topology: str,
     ``(rows, m, 5)`` as built by :func:`_fuzzify_arrays`, and ``grid`` is
     ``linspace(0, 1, G)``, which also serves as the ladder of membership
     levels.  Both bounds come from :func:`_extension_bound`: the UMF from
-    the outer feet, the LMF from the inner ones.  A candidate whose
-    footprint is too narrow to touch any grid point collapses to a unit
-    spike at the grid point nearest the image of its peaks, so zero-spread
-    inputs stay within half a grid cell of the crisp value.
+    the outer feet, the LMF from the inner ones.  A row whose footprint is
+    too narrow to touch any grid point becomes a unit spike (:func:`_spikes`)
+    at the image of its peaks, so zero-spread inputs stay within half a grid
+    cell of the crisp value.
     """
     upper = _extension_bound(grid, rel[..., 0], rel[..., 2], rel[..., 4],
                              topology, grid)
     lower = _extension_bound(grid, rel[..., 1], rel[..., 2], rel[..., 3],
                              topology, grid)
     np.minimum(lower, upper, out=lower)
-    missed = np.flatnonzero(upper.max(axis=-1) <= 0.0)
-    if missed.size:
-        peaks = _system_from_stages(topology, rel[missed, :, 2])
-        spike = np.zeros((missed.size, grid.size))
-        spike[np.arange(missed.size), _nearest_index(grid, peaks)] = 1.0
-        upper[missed] = spike
-        lower[missed] = spike
+    spikes = _spikes(upper, grid, lambda sets: _system_from_stages(
+        topology, rel[sets[0], :, 2]))
+    upper[spikes] = lower[spikes] = 1.0
     return lower, upper
 
 
@@ -432,13 +434,12 @@ def _joined_cost(cost: np.ndarray,
 
     ``cost`` holds the stage footprints, ``(rows, m, 5)``, and ``grid`` each
     row's cost grid, ``(rows, G)``.  Stage footprints too narrow to touch
-    any grid point are first replaced by unit spikes at the grid point
-    nearest their peak, so collapsed cost footprints keep their mass instead
-    of vanishing.
+    any grid point are first replaced by unit spikes (:func:`_spikes`) at
+    their peak, so collapsed cost footprints keep their mass instead of
+    vanishing.
     """
     uppers = _tri_rows(grid, cost[..., 0], cost[..., 2], cost[..., 4])
-    rows, stages = np.nonzero(uppers.max(axis=-1) <= 0.0)
-    spikes = rows, stages, _nearest_index(grid[rows], cost[rows, stages, 2])
+    spikes = _spikes(uppers, grid[:, None], lambda sets: cost[..., 2][sets])
     uppers[spikes] = 1.0
     upper = uppers.max(axis=-2)
     del uppers  # one (rows, m, G) block alive at a time
@@ -491,16 +492,21 @@ def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
     return objectives[0], objectives[1]
 
 
+def _checked_int(name: str, value, least: int) -> int:
+    """``value`` as an int; it must be an integer of at least ``least``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+    return number
+
+
 def checked_grid_size(grid_size) -> int:
     """``grid_size`` as an int; it must be an integer of at least 2."""
-    try:
-        size = operator.index(grid_size)
-    except TypeError:
-        size = None
-    if size is None or size < 2:
-        raise ValueError(f"grid_size must be an integer of at least 2, "
-                         f"got {grid_size!r}")
-    return size
+    return _checked_int("grid_size", grid_size, 2)
 
 
 def evaluate_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
@@ -527,7 +533,10 @@ def evaluate_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
 
 
 def checked_weights(xi) -> tuple[float, float]:
-    """The weight pair ``xi`` as floats; finite, non-negative, not both zero."""
+    """The weight pair ``xi`` as floats: exactly two, finite, non-negative
+    and not both zero."""
+    if len(xi) != 2:
+        raise ValueError(f"weights must be exactly two numbers, got {len(xi)}")
     xi1, xi2 = float(xi[0]), float(xi[1])
     if not (math.isfinite(xi1) and math.isfinite(xi2)
             and xi1 >= 0 and xi2 >= 0 and (xi1 > 0 or xi2 > 0)):

@@ -249,7 +249,7 @@ def test_compare_writes_table(tmp_path, solved, capsys):
     assert main(["compare", str(pso_runs), str(ga_runs),
                  "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
-    assert "proxy" in out
+    assert "the one-way F test is the t test (F = t^2, same p-value)" in out
     counts = {}
     for path in (pso_runs, ga_runs):
         for rec in json.loads(path.read_text()):

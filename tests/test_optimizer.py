@@ -114,6 +114,14 @@ def test_swarm_config_validation():
             SwarmConfig(social=value)
         with pytest.raises(ValueError, match="velocity_clamp"):
             SwarmConfig(velocity_clamp=value)
+    # a float count or seed would otherwise fail later, inside numpy
+    for field in ("population", "iterations", "seed"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SwarmConfig(**{field: 2.5})
+    with pytest.raises(ValueError, match="seed must be an integer of at "
+                                         "least 0"):
+        SwarmConfig(seed=-1)
+    assert SwarmConfig(population=np.int64(3), seed=np.int64(2)).seed == 2
 
 
 def test_ga_config_validation():
@@ -128,6 +136,12 @@ def test_ga_config_validation():
         GaConfig(population=10, elitism=10)
     with pytest.raises(ValueError, match="tournament"):
         GaConfig(tournament=0)
+    GaConfig(population=2, elitism=0)
+    for field, value in (("population", 6.5), ("generations", 2.5),
+                         ("tournament", 1.5), ("elitism", 0.5),
+                         ("seed", 1.5), ("seed", -1)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GaConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +211,19 @@ def test_evolve_without_variation_never_improves():
     assert np.all(trace == trace[0])
     assert score == pytest.approx(scores.max(), rel=1e-15)
     assert np.array_equal(pos, init[np.argmax(scores)])
+
+
+def test_evolve_without_elites_golden_values():
+    """Zero elitism makes each round the offspring alone; the values were
+    recorded while that round was built by a separate branch."""
+    config = GaConfig(population=10, generations=6, elitism=0, seed=4)
+    pos, score, trace = evolve_maximize(sphere, BOX_LO, BOX_HI, config)
+    assert pos.tolist() == [1.2256962223616839, -0.06380166043885183,
+                            0.22087002211447704, 1.3391472795989365]
+    assert score == -1.4978242754217947
+    assert trace.tolist() == [-15.077254217934481, -1.8397968845000825,
+                              -1.8397968845000825, -1.741776087715221,
+                              -1.741776087715221, -1.4978242754217947]
 
 
 def test_maximizers_reject_bad_score_rounds():
@@ -284,11 +311,14 @@ def test_solves_differ_across_seeds():
 
 
 @pytest.mark.parametrize("xi", [(float("nan"), 1.0), (1.0, float("inf")),
-                                (-0.5, 1.0), (0.0, 0.0)])
+                                (-0.5, 1.0), (0.0, 0.0), (1.0, 1.0, 7.0),
+                                (1.0,)])
 def test_solves_reject_bad_weights_before_searching(xi):
     spec, bounds = ps_problem()
+    match = ("weights must be finite" if len(xi) == 2
+             else "weights must be exactly two numbers")
     for solve, config in ((swarm_solve, SMALL_SWARM), (genetic_solve, SMALL_GA)):
-        with pytest.raises(ValueError, match="weights must be finite"):
+        with pytest.raises(ValueError, match=match):
             solve(spec, bounds, xi, config)
 
 

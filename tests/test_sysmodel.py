@@ -417,6 +417,23 @@ def test_extend_zero_spread_snaps_to_nearest_grid_point():
     assert abs(grid[idx] - want) <= 0.5 / 200
 
 
+def test_spikes_take_the_first_of_two_nearest_grid_points():
+    """A collapsed set whose apex lies exactly halfway between two grid
+    points spikes at the lower one, for both objectives."""
+    grid = np.linspace(0.0, 1.0, 5)
+    # series-parallel image 0.75 * 0.5 = 0.375, parallel-series image
+    # 1 - 0.5 * 0.75 = 0.625: both halfway between two quarter points
+    cases = ((SERIES_PARALLEL, [[0.75] * 5, [0.5] * 5], 1),
+             (PARALLEL_SERIES, [[0.5] * 5, [0.25] * 5], 2))
+    for topology, rows, index in cases:
+        lower, upper = extended_rel(np.array(rows), topology, grid)
+        assert np.array_equal(upper, np.eye(5)[index])
+        assert np.array_equal(lower, np.eye(5)[index])
+    lower, upper = joined_cost(np.array([[1.5] * 5]), [0.0, 1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(upper, np.eye(5)[1])
+    assert np.array_equal(lower, np.eye(5)[1])
+
+
 def test_extend_is_order_invariant():
     rng = np.random.default_rng(13)
     grid = np.linspace(0.0, 1.0, 201)
@@ -572,6 +589,48 @@ def test_crisp_collapse_reproduces_crisp_reliability():
         terms = _cost_terms_matrix(spec, cand.r, cand.n)
         cell = spec.cost_limit / 200
         assert min(terms) - 0.5 * cell <= y_c <= max(terms) + 0.5 * cell
+
+
+# evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng(), grid) for the
+# reference candidate and the first five candidates of criterion 6
+# (default_rng(7)): every footprint is a single point, so each set is one
+# grid point
+GOLDEN_COLLAPSED = {
+    ("sp", 201): [(0.87, 40.0925), (0.78, 110.90722222222223),
+                  (0.595, 17232.552293955607), (0.6, 34.908125),
+                  (0.385, 37.13), (0.22, 287.4114976155133)],
+    ("sp", 1601): [(0.8675, 39.876484375), (0.779375, 101.19899999999998),
+                   (0.595625, 11494.722381919504),
+                   (0.600625, 32.29673611111111),
+                   (0.385, 31.87430555555556),
+                   (0.218125, 194.62850664353832)],
+    ("ps", 201): [(0.85, 20.825), (0.99, 82.87705581057517),
+                  (0.87, 51.48181382836749), (1.0, 7116.481472136729),
+                  (0.9550000000000001, 113.79840441837618), (0.89, 23.8)],
+    ("ps", 1601): [(0.8512500000000001, 20.60625),
+                   (0.99, 82.63613413670721),
+                   (0.86875, 51.593536514626976),
+                   (1.0, 5695.140255036893),
+                   (0.956875, 92.53487785573935),
+                   (0.88875, 23.690625)],
+}
+
+
+@pytest.mark.parametrize("name,grid", list(GOLDEN_COLLAPSED),
+                         ids=["sp", "sp-1601", "ps", "ps-1601"])
+def test_crisp_collapse_golden_values(name, grid):
+    """The spike each collapsed set lands on, pinned to the grid cell:
+    the tolerance checks above would pass a one-cell shift."""
+    make_spec, _, reference = _GOLDEN_CASES[name]
+    spec = make_spec()
+    rng = np.random.default_rng(7)
+    cands = [reference] + [
+        Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
+                  rng.integers(spec.n_min, spec.n_max + 1, spec.size))
+        for _ in range(5)]
+    got = [evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng(), grid)
+           for cand in cands]
+    assert got == GOLDEN_COLLAPSED[name, grid]
 
 
 def test_crisp_collapse_single_subsystem_cost():

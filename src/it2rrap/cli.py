@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,20 +45,23 @@ _METRIC_NAMES = ("reliability", "cost", "weight", "volume")
 # ---------------------------------------------------------------------------
 
 def _parse_weights(text: str) -> List[Tuple[float, float]]:
-    """Parse ``"1,1;0.8,0.2"`` into weight pairs."""
+    """Parse ``"1,1;0.8,0.2"`` into distinct weight pairs."""
     pairs = []
     for chunk in text.split(";"):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight vector {chunk!r} is not two numbers")
-        pairs.append((float(parts[0]), float(parts[1])))
+        pair = (float(parts[0]), float(parts[1]))
+        if pair in pairs:
+            raise ValueError(f"weight vector {chunk!r} is repeated")
+        pairs.append(pair)
     if not pairs:
         raise ValueError("at least one weight vector is required")
     return pairs
 
 
 def _parse_seeds(text: str) -> List[int]:
-    """Parse ``"0,2,5-7"`` into a seed list, ranges inclusive."""
+    """Parse ``"0,2,5-7"`` into a list of distinct seeds, ranges inclusive."""
     seeds: List[int] = []
     for chunk in text.split(","):
         if "-" in chunk:
@@ -70,6 +74,11 @@ def _parse_seeds(text: str) -> List[int]:
             seeds.append(int(chunk))
     if not seeds:
         raise ValueError("at least one seed is required")
+    # a repeated seed would be counted by compare as another replication
+    repeated = sorted(seed for seed, count in Counter(seeds).items()
+                      if count > 1)
+    if repeated:
+        raise ValueError(f"seeds {repeated} are repeated")
     return seeds
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "AnovaResult",
@@ -71,6 +70,9 @@ def describe(samples) -> SampleSummary:
 
 def _t_p_value(t: float, df: float) -> float:
     """Two-sided tail probability of a t statistic."""
+    # imported here, not at module level: scipy costs every other command
+    # over 0.1 s at start-up
+    from scipy.special import betainc
     return float(betainc(df / 2.0, 0.5, df / (df + t * t)))
 
 
@@ -124,6 +126,7 @@ def anova_f(groups: Sequence) -> AnovaResult:
     if ss_within == 0.0:
         raise ValueError("degenerate samples: zero within-group variance")
     f = (ss_between / df_between) / (ss_within / df_within)
+    from scipy.special import betainc
     p = float(betainc(df_within / 2.0, df_between / 2.0,
                       df_within / (df_within + df_between * f)))
     return AnovaResult(float(f), p, df_between, df_within)

@@ -144,6 +144,21 @@ def test_solve_rejects_unknown_weight_vector(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("seeds", "0,0-2", "seeds [0] are repeated"),
+    ("seeds", "3,1-4,2", "seeds [2, 3] are repeated"),
+    ("weights", "1,1;1,1", "weight vector '1,1' is repeated"),
+    ("weights", "1,1;0.8,0.2;1.0,1", "weight vector '1.0,1' is repeated"),
+])
+def test_solve_rejects_repeated_seeds_and_weight_vectors(
+        tmp_path, capsys, option, value, message):
+    """A repeat would write identical records twice, which compare would
+    count as independent replications."""
+    assert main(solve_args(tmp_path, **{option: value})) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -497,6 +497,80 @@ def test_feasible_rows_outrank_infeasible_rows(case):
         assert np.max(got[~feasible]) < np.min(got[feasible])
 
 
+def memo_pool(spec, seed):
+    """Six in-box positions: ``a``; ``a`` with one count coordinate at
+    another fraction of the same integer (2.3 against 2.4, the same decoded
+    row); ``a`` with that count one lower (the same ``r``, another ``n``,
+    still feasible, as no metric falls with a count); two more feasible
+    positions; one infeasible position."""
+    m = spec.size
+    rng = np.random.default_rng(seed)
+    x = np.hstack([rng.uniform(spec.r_min, spec.r_max, (400, m)),
+                   rng.integers(spec.n_min, spec.n_max, (400, m)) + 0.3])
+    feasible = np.array([
+        is_feasible(spec, crisp_metrics(spec, decode(spec, row)))
+        for row in x])
+    raised = feasible & np.any(x[:, m:] > spec.n_min + 1, axis=1)
+    first = int(np.argmax(raised))
+    a = x[first]
+    j = m + int(np.argmax(a[m:] > spec.n_min + 1))
+    twin, lower = a.copy(), a.copy()
+    twin[j] += 0.1
+    lower[j] -= 1.0
+    others = [i for i in np.flatnonzero(feasible) if i != first][:2]
+    return np.array([a, twin, lower, *x[others], x[np.argmin(feasible)]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(DATASETS)), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                max_size=4))
+def test_scorer_scores_each_row_new_to_two_rounds_once(name, xi_index, seed,
+                                                       drawn):
+    """A scorer reuses the scores of the feasible rows of its previous call:
+    each round's scores equal a fresh scorer's, the fuzzy pipeline sees each
+    distinct decoded feasible row that the previous round did not hold
+    exactly once (a row from two rounds back runs again), and
+    ``evaluations`` counts every row."""
+    dataset = DATASETS[name]
+    spec = dataset.spec
+    xi = dataset.weight_pairs[xi_index]
+    args = (spec, dataset.bounds_for(xi), xi, seed,
+            WEIGHT_DATASET_CONSISTENT, FITNESS_NORMALIZED, 11)
+    pool = memo_pool(spec, seed)
+
+    def feasible(row):
+        return is_feasible(spec, crisp_metrics(spec, decode(spec, row)))
+
+    assert [feasible(row) for row in pool] == [True] * 5 + [False]
+    assert np.array_equal(decode(spec, pool[0]).n, decode(spec, pool[1]).n)
+    # a, its twin and its lower count in one round; b again in the next,
+    # with c twice; then a, absent from the round before, and c again
+    rounds = [[0, 1, 2, 5, 3], [3, 3, 4, 5], [0, 4, 1]] + drawn
+
+    def key(row):
+        cand = decode(spec, row)
+        return tuple(cand.r) + tuple(cand.n.astype(int))
+
+    scorer = _CandidateScorer(*args)
+    previous, total = set(), 0
+    for picks in rounds:
+        batch = pool[picks]
+        spy = mock.patch.object(optimizer, "_objective_rows",
+                                wraps=optimizer._objective_rows)
+        with spy as pipeline:
+            got = scorer(batch)
+        assert got.tolist() == _CandidateScorer(*args)(batch).tolist()
+        total += len(batch)
+        assert scorer.evaluations == total
+        seen = [tuple(r) + tuple(n) for call in pipeline.call_args_list
+                for r, n in zip(call.args[1], call.args[2])]
+        keys = [key(row) for row in batch if feasible(row)]
+        assert seen == [k for k in dict.fromkeys(keys) if k not in previous]
+        previous = set(keys)
+
+
 # ---------------------------------------------------------------------------
 # constraint-handling invariants of whole solves
 # ---------------------------------------------------------------------------

@@ -1,10 +1,27 @@
 """Tests for the replication statistics helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import it2rrap
 from it2rrap import anova_f, describe, t_test
+
+
+def test_importing_the_package_leaves_scipy_unloaded():
+    """scipy is imported when a t or F p-value is computed, not at
+    start-up, where it would cost every solve over 0.1 s."""
+    src = str(Path(it2rrap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, it2rrap, it2rrap.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ constraint violation, so each score depends on its row alone.  That lets a
 repeated candidate reuse its score: a feasible row whose decoded ``(r, n)``
 appears earlier in the same round or among the previous round's feasible
 rows takes the score already computed, which spares the GA the pipeline
-on over half of its feasible rows, mostly copied tournament winners.
+on 58% (parallel-series) and 61% (series-parallel) of its feasible rows
+over seeds 0 and 1, mostly copied tournament winners.
 ``evaluations`` still counts every scored row, repeats included.
 """
 
@@ -144,6 +145,8 @@ def _check_box(lower, upper) -> Tuple[np.ndarray, np.ndarray]:
     upper = np.asarray(upper, dtype=float)
     if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
         raise ValueError("bounds must be equal-length one-dimensional arrays")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError(f"bounds must be finite: {lower} to {upper}")
     if np.any(lower > upper):
         raise ValueError("lower bounds must not exceed upper bounds")
     return lower, upper
@@ -212,16 +215,6 @@ def swarm_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
     return best_pos, float(best_score), trace, k
 
 
-def _tournament(rng, scores: np.ndarray, size: int) -> int:
-    """Index of the best of ``size`` uniformly drawn members, first on ties."""
-    picks = rng.integers(0, scores.size, size)
-    best = int(picks[0])
-    for i in picks[1:]:
-        if scores[int(i)] > scores[best]:
-            best = int(i)
-    return best
-
-
 def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
                     lower, upper, config: GaConfig):
     """Maximize ``score_fn`` over a box with a tournament genetic search.
@@ -230,9 +223,14 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
     score per row.  Round 0 is the initial population, scored in one call.
     Each later round keeps the top ``elitism`` members with their scores
     (never re-evaluated) and fills the rest with offspring, scored together
-    in one call: two tournament winners, one-point crossover at rate
-    ``crossover_rate``, then at rate ``mutation_rate`` one coordinate
-    redrawn uniformly inside the box.
+    in one call.  The ``population - elitism`` kids come from half as many
+    pairs, rounded up, and six whole-round draws, in order: ``(pairs, 2,
+    tournament)`` member indices, each parent the best of its picks (the
+    first on ties); per pair a crossover test and a cut in ``1..D-1``, from
+    which a crossing pair swaps coordinates (a one-dimensional box keeps
+    the parents); a mutation test per kid; and per mutated kid one
+    coordinate and its new value, uniform in the box.  Kids keep pair
+    order, first kid first; an odd count drops the last second kid.
 
     Returns ``(best_position, best_score, trace)`` where ``trace[g]`` is
     the best score seen through round ``g`` (never decreasing, one entry
@@ -248,26 +246,22 @@ def evolve_maximize(score_fn: Callable[[np.ndarray], np.ndarray],
     best_score = float(scores[best])
     trace = np.empty(config.generations)
     trace[0] = best_score
+    need = config.population - config.elitism
+    pairs = -(-need // 2)
     for gen in range(1, config.generations):
         keep = np.argsort(-scores, kind="stable")[:config.elitism]
-        need = config.population - config.elitism
-        children = []
-        while len(children) < need:
-            first = pop[_tournament(rng, scores, config.tournament)].copy()
-            second = pop[_tournament(rng, scores, config.tournament)].copy()
-            if rng.random() < config.crossover_rate and dims > 1:
-                cut = int(rng.integers(1, dims))
-                tail = first[cut:].copy()
-                first[cut:] = second[cut:]
-                second[cut:] = tail
-            children.append(first)
-            if len(children) < need:
-                children.append(second)
-        kids = np.array(children)
-        for i in range(need):
-            if rng.random() < config.mutation_rate:
-                gene = int(rng.integers(dims))
-                kids[i, gene] = rng.uniform(lower[gene], upper[gene])
+        picks = rng.integers(0, config.population,
+                             (pairs, 2, config.tournament))
+        wins = np.argmax(scores[picks], axis=-1)[..., None]
+        parents = pop[np.take_along_axis(picks, wins, -1)[..., 0]]
+        cross = rng.random(pairs) < config.crossover_rate
+        cut = rng.integers(1, max(dims, 2), pairs)
+        swap = cross[:, None] & (np.arange(dims) >= cut[:, None])
+        kids = np.where(swap[:, None], parents[:, ::-1], parents)
+        kids = kids.reshape(-1, dims)[:need]
+        hit = np.flatnonzero(rng.random(need) < config.mutation_rate)
+        gene = rng.integers(0, dims, hit.size)
+        kids[hit, gene] = rng.uniform(lower[gene], upper[gene])
         # the elites (no rows at zero elitism) keep their scores
         scores = np.concatenate([scores[keep], _round_scores(score_fn, kids)])
         pop = np.vstack([pop[keep], kids])

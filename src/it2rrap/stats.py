@@ -118,8 +118,11 @@ def anova_f(groups: Sequence) -> AnovaResult:
     means = np.array([np.mean(a) for a in arrs])
     total = int(counts.sum())
     k = len(arrs)
-    grand = float(np.concatenate(arrs).mean())
-    ss_between = float(np.sum(counts * (means - grand) ** 2))
+    # sum over pairs of n_i n_j (m_i - m_j)^2 / N, exactly 0 for equal
+    # means, which a grand mean of the pooled values can miss by an ulp
+    gaps = means[:, None] - means[None, :]
+    ss_between = float(np.sum(np.outer(counts, counts) * gaps ** 2)
+                       / (2 * total))
     ss_within = float(sum(np.sum((a - m) ** 2) for a, m in zip(arrs, means)))
     df_between = k - 1
     df_within = total - k

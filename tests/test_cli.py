@@ -254,8 +254,11 @@ def test_verify_applies_weight_formula_choice(capsys):
 def solved(tmp_path_factory):
     root = tmp_path_factory.mktemp("solved")
     pso, ga = root / "pso", root / "ga"
-    assert main(solve_args(pso, seeds="0-2")) == 0
-    assert main(solve_args(ga, algorithm="ga", seeds="0-2")) == 0
+    # compare needs two feasible runs per solver; at 20 x 15 every
+    # parallel-series GA seed 0-99 and all but one PSO seed finds one
+    budget = {"population": "20", "iterations": "15"}
+    assert main(solve_args(pso, seeds="0-2", **budget)) == 0
+    assert main(solve_args(ga, algorithm="ga", seeds="0-2", **budget)) == 0
     return pso / "runs.json", ga / "runs.json"
 
 

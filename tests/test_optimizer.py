@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from it2rrap import (
@@ -214,16 +214,101 @@ def test_evolve_without_variation_never_improves():
 
 
 def test_evolve_without_elites_golden_values():
-    """Zero elitism makes each round the offspring alone; the values were
-    recorded while that round was built by a separate branch."""
+    """Zero elitism makes each round the offspring alone; the values pin
+    that stacking and the order of a round's draws."""
     config = GaConfig(population=10, generations=6, elitism=0, seed=4)
     pos, score, trace = evolve_maximize(sphere, BOX_LO, BOX_HI, config)
-    assert pos.tolist() == [1.2256962223616839, -0.06380166043885183,
-                            0.22087002211447704, 1.3391472795989365]
-    assert score == -1.4978242754217947
-    assert trace.tolist() == [-15.077254217934481, -1.8397968845000825,
-                              -1.8397968845000825, -1.741776087715221,
-                              -1.741776087715221, -1.4978242754217947]
+    assert pos.tolist() == [-0.08274715387523468, 1.7580086493352587,
+                            0.002261893487458977, 0.3841449393136429]
+    assert score == -2.318678293608887
+    assert trace.tolist() == [-15.077254217934481, -14.002633359635727,
+                              -14.002633359635727, -2.6274231192664264,
+                              -2.6274231192664264, -2.318678293608887]
+
+
+def ga_rounds(config, dims):
+    """``(population, scores, kids)`` of every bred round of a GA run on the
+    smoke objective: the members and scores each round was bred from,
+    rebuilt from the positions ``score_fn`` received (elites first, taken
+    by the GA's stable sort), and the kids scored for it."""
+    calls = []
+
+    def record(x):
+        calls.append((x.copy(), sphere(x)))
+        return calls[-1][1]
+
+    evolve_maximize(record, np.full(dims, -5.0), np.full(dims, 5.0), config)
+    pop, scores = calls[0]
+    rounds = []
+    for kids, kid_scores in calls[1:]:
+        rounds.append((pop, scores, kids))
+        keep = np.argsort(-scores, kind="stable")[:config.elitism]
+        pop = np.vstack([pop[keep], kids])
+        scores = np.concatenate([scores[keep], kid_scores])
+    return rounds
+
+
+def recombines(pop, kids, slack):
+    """Whether ``kids`` (a pair, or a lone last kid) are ``a[:c] + b[c:]``
+    and ``b[:c] + a[c:]`` for members ``a``, ``b`` of ``pop`` and some ``c``
+    in ``1..D``, each kid up to ``slack`` coordinates apart."""
+    dims = pop.shape[1]
+    a, b = pop[:, None], pop[None, :]
+    for cut in range(1, dims + 1):
+        tail = np.arange(dims) >= cut
+        ok = np.sum(np.where(tail, b, a) != kids[0], axis=-1) <= slack
+        if len(kids) == 2:
+            ok &= np.sum(np.where(tail, a, b) != kids[1], axis=-1) <= slack
+        if ok.any():
+            return True
+    return False
+
+
+ga_shapes = st.tuples(st.integers(2, 12), st.integers(1, 6),
+                      st.integers(0, 1), st.integers(1, 3),
+                      st.integers(0, 2 ** 16))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ga_shapes, st.sampled_from((0.0, 0.6, 1.0)), st.booleans())
+@example((7, 1, 1, 2, 0), 1.0, False)
+@example((7, 1, 0, 2, 0), 1.0, True)
+def test_evolve_round_is_a_recombination_of_the_previous(shape,
+                                                         crossover_rate,
+                                                         mutate):
+    """Whatever the draws, every kid comes from two members of the round
+    before: a one-point recombination, a plain copy without crossover, and
+    at most one redrawn in-box coordinate when every kid mutates."""
+    population, dims, elitism, tournament, seed = shape
+    config = GaConfig(population=population, generations=4,
+                      crossover_rate=crossover_rate,
+                      mutation_rate=float(mutate), tournament=tournament,
+                      elitism=elitism, seed=seed)
+    for pop, _, kids in ga_rounds(config, dims):
+        assert kids.shape == (population - elitism, dims)
+        assert np.all((kids >= -5.0) & (kids <= 5.0))
+        for i in range(0, len(kids), 2):
+            assert recombines(pop, kids[i:i + 2], int(mutate))
+        if crossover_rate == 0.0 and not mutate:
+            for kid in kids:
+                assert np.any(np.all(pop == kid, axis=1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ga_shapes.filter(lambda shape: shape[0] <= 4),
+       st.sampled_from((0.0, 0.6, 1.0)))
+@example((3, 1, 0, 1, 0), 1.0)
+def test_evolve_long_tournaments_pick_the_best(shape, crossover_rate):
+    """64 picks from at most 4 members miss the best with chance at most
+    (3/4)^64, so every parent, and so every unmutated kid, is the best."""
+    population, dims, elitism, _, seed = shape
+    config = GaConfig(population=population, generations=4,
+                      crossover_rate=crossover_rate, mutation_rate=0.0,
+                      tournament=64, elitism=elitism, seed=seed)
+    for pop, scores, kids in ga_rounds(config, dims):
+        best = pop[scores == scores.max()]
+        for kid in kids:
+            assert np.any(np.all(best == kid, axis=1))
 
 
 def test_maximizers_reject_bad_score_rounds():
@@ -244,6 +329,12 @@ def test_maximizers_reject_bad_boxes():
         swarm_maximize(sphere, np.zeros(3), np.ones(2), SwarmConfig())
     with pytest.raises(ValueError, match="lower bounds"):
         evolve_maximize(sphere, np.ones(2), np.zeros(2), GaConfig())
+    for lower, upper in (([0.0], [np.nan]), ([1.0], [np.inf]),
+                         ([-np.inf], [0.0]), ([np.nan, 0.0], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            swarm_maximize(sphere, lower, upper, SwarmConfig())
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            evolve_maximize(sphere, lower, upper, GaConfig())
 
 
 # ---------------------------------------------------------------------------

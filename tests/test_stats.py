@@ -155,6 +155,13 @@ def test_anova_identical_groups():
     f, p, _, _ = anova_f([g, g, g])
     assert f == 0.0
     assert p == 1.0
+    # equal means give F = 0 exactly even where the pooled mean rounds
+    # away from them
+    rng = np.random.default_rng(0)
+    for size in range(2, 8):
+        for _ in range(20):
+            g = rng.random(size)
+            assert anova_f([g, g.copy()]).statistic == 0.0
 
 
 def test_anova_rejects_degenerate_input():

@@ -64,16 +64,16 @@ def _parse_seeds(text: str) -> List[int]:
     """Parse ``"0,2,5-7"`` into a list of distinct seeds, ranges inclusive."""
     seeds: List[int] = []
     for chunk in text.split(","):
-        if "-" in chunk:
-            first, _, last = chunk.partition("-")
-            lo, hi = int(first), int(last)
-            if hi < lo:
-                raise ValueError(f"seed range {chunk!r} runs backwards")
-            seeds.extend(range(lo, hi + 1))
-        else:
-            seeds.append(int(chunk))
-    if not seeds:
-        raise ValueError("at least one seed is required")
+        first, dash, last = chunk.partition("-")
+        try:
+            lo = int(first)
+            hi = int(last) if dash else lo
+        except ValueError:
+            raise ValueError(f"seed {chunk!r} is not an integer or a range "
+                             "of two, like 0-9") from None
+        if hi < lo:
+            raise ValueError(f"seed range {chunk!r} runs backwards")
+        seeds.extend(range(lo, hi + 1))
     # a repeated seed would be counted by compare as another replication
     repeated = sorted(seed for seed, count in Counter(seeds).items()
                       if count > 1)
@@ -267,11 +267,29 @@ def _cmd_verify(args) -> int:
 # compare
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = ("algorithm", "xi_r", "xi_c", "feasible", "y_r", "y_c")
+def _is_number(value) -> bool:
+    # JSON true and false load as bools, which isinstance counts as ints;
+    # the comparison is exact, so it also fails integers too large for floats
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+_TEXT = ("a string", lambda v: isinstance(v, str))
+_NUMBER = ("a finite number", _is_number)
+_OBJECTIVE = ("a finite number or null", lambda v: v is None or _is_number(v))
+# each record field compare reads, with what its value must be
+_RECORD_FIELDS = {
+    "algorithm": _TEXT, "dataset": _TEXT, "fitness": _TEXT,
+    "weight_formula": _TEXT, "xi_r": _NUMBER, "xi_c": _NUMBER,
+    "grid_size": _NUMBER, "seed": ("an integer", lambda v: type(v) is int),
+    "feasible": ("true or false", lambda v: isinstance(v, bool)),
+    "y_r": _OBJECTIVE, "y_c": _OBJECTIVE,
+}
+# the problem every pooled run must have solved, scored the same way
+_PROBLEM_FIELDS = ("dataset", "grid_size", "fitness", "weight_formula")
 
 
 def _load_records(paths: Sequence[str]) -> List[dict]:
-    records = []
+    records, runs = [], set()
     for path in paths:
         loaded = json.loads(Path(path).read_text())
         if not isinstance(loaded, list):
@@ -281,7 +299,23 @@ def _load_records(paths: Sequence[str]) -> List[dict]:
                                                 for f in _RECORD_FIELDS):
                 raise ValueError(f"{path}: run records require the fields "
                                  + ", ".join(_RECORD_FIELDS))
+            for field, (wanted, check) in _RECORD_FIELDS.items():
+                if not check(rec[field]):
+                    raise ValueError(f"{path}: field {field!r} must be "
+                                     f"{wanted}, got {rec[field]!r}")
+            # a run listed twice would count as two replications
+            run = (rec["algorithm"], rec["xi_r"], rec["xi_c"], rec["seed"])
+            if run in runs:
+                raise ValueError(
+                    f"{path}: run {run[0]} xi={run[1]:g},{run[2]:g} "
+                    f"seed={run[3]} is listed twice")
+            runs.add(run)
         records.extend(loaded)
+    for field in _PROBLEM_FIELDS:
+        values = {rec[field] for rec in records}
+        if len(values) > 1:
+            raise ValueError(f"runs from different problems: {field} takes "
+                             f"the values {', '.join(map(repr, sorted(values)))}")
     return records
 
 

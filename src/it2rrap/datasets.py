@@ -30,17 +30,20 @@ __all__ = [
     "loads_dataset",
 ]
 
-_REQUIRED_KEYS = ("topology", "mission-hours", "subsystems",
-                  "weight-limit", "volume-limit", "cost-limit")
+# Every scalar key, in the order files are written, with the type of its
+# value.  Each names the SystemSpec field with dashes turned to
+# underscores, except ``subsystems``, which the unit rows must match.
+_SCALAR_KEYS = {
+    "topology": str, "mission-hours": float, "subsystems": int,
+    "weight-limit": float, "volume-limit": float, "cost-limit": float,
+    "r-min": float, "r-max": float, "n-min": int, "n-max": int,
+}
 _OPTIONAL_KEYS = ("r-min", "r-max", "n-min", "n-max")
-_INT_KEYS = ("subsystems", "n-min", "n-max")
+# the unit row labels, which are also the SystemSpec fields they fill
 _UNIT_LABELS = ("alpha", "beta", "weight", "kappa")
 
+# each is shipped as data/<name with underscores>.dat
 BUNDLED_DATASETS = ("series-parallel", "parallel-series")
-_BUNDLED_FILES = {
-    "series-parallel": "series_parallel.dat",
-    "parallel-series": "parallel_series.dat",
-}
 
 
 @dataclass(frozen=True)
@@ -70,24 +73,19 @@ def _fail(line_no: int, message: str):
     raise ValueError(f"line {line_no}: {message}")
 
 
-def _parse_float(token: str, line_no: int) -> float:
+def _parse_value(token: str, line_no: int, kind=float):
+    """``token`` read as ``kind``: float, int or str."""
     try:
-        return float(token)
+        return kind(token)
     except ValueError:
-        _fail(line_no, f"expected a number, got {token!r}")
-
-
-def _parse_int(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        _fail(line_no, f"expected an integer, got {token!r}")
+        what = "an integer" if kind is int else "a number"
+        _fail(line_no, f"expected {what}, got {token!r}")
 
 
 def _parse_unit(tokens, line_no, units):
     if len(tokens) != 2 + 2 * len(_UNIT_LABELS):
         _fail(line_no, "unit rows take an index and four labelled values")
-    index = _parse_int(tokens[1], line_no)
+    index = _parse_value(tokens[1], line_no, int)
     if index != len(units) + 1:
         _fail(line_no, f"unit rows must be numbered consecutively,"
                        f" expected {len(units) + 1} got {index}")
@@ -96,7 +94,7 @@ def _parse_unit(tokens, line_no, units):
         got = tokens[2 + 2 * pos]
         if got != label:
             _fail(line_no, f"expected label {label!r}, got {got!r}")
-        row[label] = _parse_float(tokens[3 + 2 * pos], line_no)
+        row[label] = _parse_value(tokens[3 + 2 * pos], line_no)
     units.append(row)
 
 
@@ -104,15 +102,15 @@ def _parse_bounds(tokens, line_no, bounds):
     if len(tokens) != 9 or tokens[3] != "r" or tokens[6] != "c":
         _fail(line_no, "bounds rows read:"
                        " bounds XI1 XI2 r LEFT RIGHT c LEFT RIGHT")
-    pair = [_parse_float(t, line_no) for t in tokens[1:3]]
+    pair = [_parse_value(t, line_no) for t in tokens[1:3]]
     try:
         xi = checked_weights(pair)
     except ValueError as exc:
         _fail(line_no, str(exc))
     if xi in bounds:
         _fail(line_no, f"duplicate bounds for weights {xi[0]:g},{xi[1]:g}")
-    r_left, r_right = (_parse_float(t, line_no) for t in tokens[4:6])
-    c_left, c_right = (_parse_float(t, line_no) for t in tokens[7:9])
+    r_left, r_right = (_parse_value(t, line_no) for t in tokens[4:6])
+    c_left, c_right = (_parse_value(t, line_no) for t in tokens[7:9])
     if not r_left < r_right:
         _fail(line_no, "reliability anchors must satisfy left < right")
     if not c_left < c_right:
@@ -151,44 +149,29 @@ def loads_dataset(text: str) -> Dataset:
             _parse_unit(tokens, line_no, units)
         elif key == "bounds":
             _parse_bounds(tokens, line_no, bounds)
-        elif key in _REQUIRED_KEYS or key in _OPTIONAL_KEYS:
+        elif key in _SCALAR_KEYS:
             if key in scalars:
                 _fail(line_no, f"duplicate key {key!r}")
             if len(tokens) != 2:
                 _fail(line_no, f"key {key!r} takes exactly one value")
-            if key == "topology":
-                scalars[key] = tokens[1]
-            elif key in _INT_KEYS:
-                scalars[key] = _parse_int(tokens[1], line_no)
-            else:
-                scalars[key] = _parse_float(tokens[1], line_no)
+            scalars[key] = _parse_value(tokens[1], line_no, _SCALAR_KEYS[key])
         else:
             _fail(line_no, f"unknown key {key!r}")
     if not saw_schema:
         raise ValueError("empty problem file, expected a schema declaration")
-    missing = [k for k in _REQUIRED_KEYS if k not in scalars]
+    missing = [k for k in _SCALAR_KEYS
+               if k not in scalars and k not in _OPTIONAL_KEYS]
     if missing:
         raise ValueError(f"missing required keys: {', '.join(missing)}")
-    if len(units) != scalars["subsystems"]:
-        raise ValueError(f"expected {scalars['subsystems']} unit rows,"
-                         f" found {len(units)}")
+    size = scalars.pop("subsystems")
+    if len(units) != size:
+        raise ValueError(f"expected {size} unit rows, found {len(units)}")
     if not bounds:
         raise ValueError("at least one bounds row is required")
-    extras = {opt.replace("-", "_"): scalars[opt]
-              for opt in _OPTIONAL_KEYS if opt in scalars}
-    spec = SystemSpec(
-        topology=scalars["topology"],
-        mission_hours=scalars["mission-hours"],
-        alpha=[u["alpha"] for u in units],
-        beta=[u["beta"] for u in units],
-        weight=[u["weight"] for u in units],
-        kappa=[u["kappa"] for u in units],
-        weight_limit=scalars["weight-limit"],
-        volume_limit=scalars["volume-limit"],
-        cost_limit=scalars["cost-limit"],
-        **extras,
-    )
-    return Dataset(spec=spec, bounds=bounds)
+    fields = {key.replace("-", "_"): value for key, value in scalars.items()}
+    for label in _UNIT_LABELS:
+        fields[label] = [u[label] for u in units]
+    return Dataset(spec=SystemSpec(**fields), bounds=bounds)
 
 
 def load_dataset(path) -> Dataset:
@@ -199,25 +182,18 @@ def load_dataset(path) -> Dataset:
 def dumps_dataset(dataset: Dataset) -> str:
     """Serialize a problem instance to the line format, value exact."""
     spec = dataset.spec
-    lines = [
-        "schema 1",
-        f"topology {spec.topology}",
-        f"mission-hours {float(spec.mission_hours)!r}",
-        f"subsystems {spec.size}",
-        f"weight-limit {float(spec.weight_limit)!r}",
-        f"volume-limit {float(spec.volume_limit)!r}",
-        f"cost-limit {float(spec.cost_limit)!r}",
-        f"r-min {float(spec.r_min)!r}",
-        f"r-max {float(spec.r_max)!r}",
-        f"n-min {int(spec.n_min)}",
-        f"n-max {int(spec.n_max)}",
-    ]
+    lines = ["schema 1"]
+    for key, kind in _SCALAR_KEYS.items():
+        if key == "subsystems":
+            value = spec.size
+        else:
+            value = getattr(spec, key.replace("-", "_"))
+        # str() of a float is its repr, so the text reads back exactly
+        lines.append(f"{key} {kind(value)}")
     for i in range(spec.size):
-        lines.append(
-            f"unit {i + 1}"
-            f" alpha {float(spec.alpha[i])!r} beta {float(spec.beta[i])!r}"
-            f" weight {float(spec.weight[i])!r}"
-            f" kappa {float(spec.kappa[i])!r}")
+        cells = (f"{label} {float(getattr(spec, label)[i])!r}"
+                 for label in _UNIT_LABELS)
+        lines.append(f"unit {i + 1} {' '.join(cells)}")
     for (x1, x2), b in dataset.bounds.items():
         lines.append(
             f"bounds {float(x1)!r} {float(x2)!r}"
@@ -232,10 +208,10 @@ def dump_dataset(dataset: Dataset, path) -> None:
 
 def bundled_dataset(name: str) -> Dataset:
     """Load one of the benchmark instances shipped with the package."""
-    if name not in _BUNDLED_FILES:
+    if name not in BUNDLED_DATASETS:
         known = ", ".join(BUNDLED_DATASETS)
         raise ValueError(f"unknown bundled dataset {name!r}"
                          f" (available: {known})")
     text = resources.files("it2rrap").joinpath(
-        "data", _BUNDLED_FILES[name]).read_text()
+        "data", name.replace("-", "_") + ".dat").read_text()
     return loads_dataset(text)

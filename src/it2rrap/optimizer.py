@@ -125,19 +125,14 @@ def constriction(k: float, cognitive: float, social: float, u_own, u_other):
     form ``2k / |2 - phi - sqrt(phi (phi - 4))|`` applies; below it the
     radicand goes negative and the magnitude of the complex denominator is
     exactly 2, so the scale is the raw ``k``.  Accepts scalar or array
-    draws; the output is always in ``[0, k]``.
+    draws and returns an array of their shape, always in ``[0, k]``.
     """
     phi = cognitive * np.asarray(u_own, dtype=float) \
         + social * np.asarray(u_other, dtype=float)
-    arr = np.atleast_1d(phi)
-    out = np.full(arr.shape, float(k))
-    hot = arr >= 4.0
-    if np.any(hot):
-        p = arr[hot]
-        out[hot] = 2.0 * k / np.abs(2.0 - p - np.sqrt(p * (p - 4.0)))
-    if phi.ndim == 0:
-        return float(out[0])
-    return out
+    # below the threshold the square root is NaN, and np.where drops it
+    with np.errstate(invalid="ignore"):
+        return np.where(phi >= 4.0, 2.0 * k / np.abs(
+            2.0 - phi - np.sqrt(phi * (phi - 4.0))), k)
 
 
 def _check_box(lower, upper) -> Tuple[np.ndarray, np.ndarray]:
@@ -318,13 +313,6 @@ class _CandidateScorer:
         self._draws = stream.random((spec.size, 8))
         # score of each feasible row of the last call, keyed by its bytes
         self._previous = {}
-        # glibc gives the top of its heap back once more free memory sits
-        # there than twice its mmap threshold, which starts at 128 KiB and
-        # rises to the largest mapped block freed.  A round frees all its
-        # temporaries, so at that start every round would fault its pages
-        # in anew: 103k minor faults on a ten-solve series-parallel PSO
-        # front, against 670 once a 1 MiB block has been freed.
-        np.empty(1 << 20, dtype=np.uint8)
 
     def decode(self, x: np.ndarray):
         """Reliabilities, redundancy counts, crisp metrics and constraint
@@ -404,7 +392,7 @@ def _search_box(spec: SystemSpec) -> Tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def _finish(algorithm: str, scorer: _CandidateScorer, seed: int,
+def _finish(algorithm: str, scorer: _CandidateScorer,
             k_used: Optional[float], best_pos: np.ndarray, best_score: float,
             trace: np.ndarray) -> RunResult:
     """The run's result, read from the searcher's best position."""
@@ -415,7 +403,7 @@ def _finish(algorithm: str, scorer: _CandidateScorer, seed: int,
         objectives = tuple(float(y[0]) for y in scorer.objectives(r, n))
     return RunResult(
         algorithm=algorithm,
-        seed=seed,
+        seed=scorer.seed,
         xi=scorer.xi,
         weight_variant=scorer.weight_variant,
         fitness_mode=scorer.fitness_mode,
@@ -443,8 +431,7 @@ def swarm_solve(spec: SystemSpec, bounds: IdealBounds,
     lower, upper = _search_box(spec)
     best_pos, best_score, trace, k = swarm_maximize(scorer, lower, upper,
                                                     config)
-    return _finish("swarm", scorer, config.seed, k, best_pos, best_score,
-                   trace)
+    return _finish("swarm", scorer, k, best_pos, best_score, trace)
 
 
 def genetic_solve(spec: SystemSpec, bounds: IdealBounds,
@@ -459,5 +446,4 @@ def genetic_solve(spec: SystemSpec, bounds: IdealBounds,
     lower, upper = _search_box(spec)
     best_pos, best_score, trace = evolve_maximize(scorer, lower, upper,
                                                   config)
-    return _finish("genetic", scorer, config.seed, None, best_pos,
-                   best_score, trace)
+    return _finish("genetic", scorer, None, best_pos, best_score, trace)

@@ -318,11 +318,14 @@ def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
 # ---------------------------------------------------------------------------
 
 # Every (rows, m, grid) temporary of the pipeline holds at most this many
-# float64s, 128 KiB, which is glibc's default mmap threshold.  Blocks above
-# it are mapped fresh and handed back on every free, so each chunk pays its
-# page faults again: on a 2-CPU x86 VM a ten-stage grid-1601 solve took 6%
-# longer with a 256 KiB cap and 17% longer with 512 KiB.
+# float64s (128 KiB): a whole round in one chunk peaked at 69-77 MB on a
+# grid-1601 series-parallel solve, against 36 MB with the cap.
 _BLOCK_FLOATS = 16384
+# Freeing one 1 MiB block lifts glibc's mmap threshold to 1 MiB and its
+# trim threshold to 2 MiB, so the heap top a round frees stays for the next
+# round: a seed-0 front took 560 minor faults with it and 51,700 without
+# (series-parallel PSO), and 575 against 84,500 (parallel-series GA).
+np.empty(1 << 20, dtype=np.uint8)
 
 
 def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,

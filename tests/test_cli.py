@@ -144,6 +144,17 @@ def test_solve_rejects_unknown_weight_vector(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds, bad", [
+    ("-1", "-1"), ("3-", "3-"), ("1-x", "1-x"), ("1-2-3", "1-2-3"),
+    ("0,,1", ""), ("0,x", "x"), ("", ""),
+])
+def test_solve_names_the_bad_seed(tmp_path, capsys, seeds, bad):
+    assert main(solve_args(tmp_path, seeds=seeds)) == 1
+    assert (f"error: seed {bad!r} is not an integer or a range of two"
+            in capsys.readouterr().err)
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("seeds", "0,0-2", "seeds [0] are repeated"),
     ("seeds", "3,1-4,2", "seeds [2, 3] are repeated"),
@@ -325,3 +336,63 @@ def test_compare_rejects_records_missing_fields(tmp_path, capsys):
     bad.write_text('[{"algorithm": "swarm", "seed": 0}]')
     assert main(["compare", str(bad), "--out-dir", str(tmp_path)]) == 1
     assert "require the fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("algorithm", ["swarm"], "field 'algorithm' must be a string, got"),
+    ("dataset", 3, "field 'dataset' must be a string"),
+    ("fitness", None, "field 'fitness' must be a string"),
+    ("weight_formula", 1.5, "field 'weight_formula' must be a string"),
+    ("xi_r", "1", "field 'xi_r' must be a finite number, got '1'"),
+    ("xi_c", True, "field 'xi_c' must be a finite number, got True"),
+    ("xi_c", float("inf"), "field 'xi_c' must be a finite number"),
+    ("xi_c", 10 ** 400, "field 'xi_c' must be a finite number"),
+    ("grid_size", "101", "field 'grid_size' must be a finite number"),
+    ("seed", 0.5, "field 'seed' must be an integer, got 0.5"),
+    ("seed", False, "field 'seed' must be an integer, got False"),
+    ("feasible", "yes", "field 'feasible' must be true or false"),
+    ("y_r", "0.9", "field 'y_r' must be a finite number or null"),
+    ("y_c", float("nan"), "field 'y_c' must be a finite number or null"),
+])
+def test_compare_checks_field_types(tmp_path, solved, capsys, field, value,
+                                    message):
+    pso_runs, ga_runs = solved
+    records = json.loads(pso_runs.read_text())
+    records[1][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(records))
+    assert main(["compare", str(bad), str(ga_runs),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dataset", "series-parallel"),
+    ("grid_size", 201),
+    ("fitness", "raw"),
+    ("weight_formula", "as-written"),
+])
+def test_compare_rejects_runs_of_different_problems(tmp_path, solved, capsys,
+                                                    field, value):
+    pso_runs, ga_runs = solved
+    records = json.loads(ga_runs.read_text())
+    for rec in records:
+        rec[field] = value
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(records))
+    assert main(["compare", str(pso_runs), str(other),
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: runs from different problems: {field} takes" in err
+    assert repr(value) in err
+    assert not (tmp_path / "comparison.csv").exists()
+
+
+def test_compare_rejects_a_run_listed_twice(tmp_path, solved, capsys):
+    pso_runs, ga_runs = solved
+    assert main(["compare", str(pso_runs), str(ga_runs), str(pso_runs),
+                 "--out-dir", str(tmp_path)]) == 1
+    assert (f"error: {pso_runs}: run swarm xi=1,1 seed=0 is listed twice"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "comparison.csv").exists()

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from it2rrap import (
     BUNDLED_DATASETS,
+    Dataset,
     IdealBounds,
+    PARALLEL_SERIES,
+    SERIES_PARALLEL,
+    SystemSpec,
     bundled_dataset,
     crisp_metrics,
     dump_dataset,
@@ -88,6 +94,138 @@ def test_dump_load_cycle_is_value_exact(name):
     again = loads_dataset(dumps_dataset(ds))
     assert specs_equal(ds.spec, again.spec)
     assert ds.bounds == again.bounds
+
+
+# the exact text dumps_dataset writes for MINI and the two bundled files
+MINI_DUMPED = """\
+schema 1
+topology series-parallel
+mission-hours 1000.0
+subsystems 1
+weight-limit 100.0
+volume-limit 100.0
+cost-limit 100.0
+r-min 0.5
+r-max 0.999999
+n-min 1
+n-max 5
+unit 1 alpha 2e-05 beta 1.5 weight 2.0 kappa 3.0
+bounds 1.0 1.0 r 0.5 0.9 c 10.0 90.0
+"""
+
+SERIES_PARALLEL_DUMPED = """\
+schema 1
+topology series-parallel
+mission-hours 1000.0
+subsystems 10
+weight-limit 483.0
+volume-limit 289.0
+cost-limit 553.0
+r-min 0.5
+r-max 0.999999
+n-min 1
+n-max 5
+unit 1 alpha 6.1136e-06 beta 1.5 weight 9.0 kappa 4.0
+unit 2 alpha 4.032464e-05 beta 1.5 weight 7.0 kappa 5.0
+unit 3 alpha 3.578225e-05 beta 1.5 weight 5.0 kappa 3.0
+unit 4 alpha 3.654303e-05 beta 1.5 weight 9.0 kappa 2.0
+unit 5 alpha 1.163718e-05 beta 1.5 weight 9.0 kappa 3.0
+unit 6 alpha 2.966955e-05 beta 1.5 weight 10.0 kappa 4.0
+unit 7 alpha 2.045865e-05 beta 1.5 weight 6.0 kappa 1.0
+unit 8 alpha 2.649522e-05 beta 1.5 weight 5.0 kappa 1.0
+unit 9 alpha 1.982908e-05 beta 1.5 weight 8.0 kappa 4.0
+unit 10 alpha 3.516724e-05 beta 1.5 weight 6.0 kappa 4.0
+bounds 1.0 1.0 r 0.6452566 0.8199358 c 185.607332 470.195913
+bounds 1.0 0.5 r 0.6108074 0.8471696 c 209.480891 510.048771
+bounds 0.8 0.2 r 0.6065163 0.9227051 c 199.697687 505.900821
+bounds 0.2 0.8 r 0.6307274 0.8144518 c 196.9306419 432.2714613
+bounds 0.5 1.0 r 0.6044854 0.8250805 c 202.865356 440.986316
+"""
+
+PARALLEL_SERIES_DUMPED = """\
+schema 1
+topology parallel-series
+mission-hours 1000.0
+subsystems 5
+weight-limit 200.0
+volume-limit 110.0
+cost-limit 175.0
+r-min 0.5
+r-max 0.999999
+n-min 1
+n-max 5
+unit 1 alpha 2.33e-05 beta 1.5 weight 7.0 kappa 1.0
+unit 2 alpha 1.45e-05 beta 1.5 weight 8.0 kappa 2.0
+unit 3 alpha 5.41e-06 beta 1.5 weight 8.0 kappa 3.0
+unit 4 alpha 8.05e-05 beta 1.5 weight 6.0 kappa 4.0
+unit 5 alpha 1.95e-05 beta 1.5 weight 9.0 kappa 2.0
+bounds 1.0 1.0 r 0.6 0.9999 c 60.0 180.0
+bounds 1.0 0.5 r 0.6 0.9999 c 60.0 180.0
+bounds 0.8 0.2 r 0.6 0.9999 c 60.0 180.0
+bounds 0.2 0.8 r 0.6 0.9999 c 60.0 180.0
+bounds 0.5 1.0 r 0.6 0.9999 c 60.0 180.0
+"""
+
+
+def test_dumped_text_is_pinned():
+    assert dumps_dataset(loads_dataset(MINI)) == MINI_DUMPED
+    assert (dumps_dataset(bundled_dataset("series-parallel"))
+            == SERIES_PARALLEL_DUMPED)
+    assert (dumps_dataset(bundled_dataset("parallel-series"))
+            == PARALLEL_SERIES_DUMPED)
+
+
+# positive finite floats from subnormals to near the top of the range,
+# with many significant digits
+positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True,
+                     allow_nan=False, allow_infinity=False)
+unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+@st.composite
+def datasets(draw):
+    m = draw(st.integers(1, 12))
+    stage = st.lists(positive, min_size=m, max_size=m)
+    fields = dict(
+        topology=draw(st.sampled_from([SERIES_PARALLEL, PARALLEL_SERIES])),
+        mission_hours=draw(positive | st.integers(1, 10 ** 6)),
+        alpha=draw(stage),
+        beta=draw(stage), weight=draw(stage), kappa=draw(stage),
+        weight_limit=draw(positive), volume_limit=draw(positive),
+        cost_limit=draw(positive))
+    # each optional key is either given or left at its default
+    if draw(st.booleans()):
+        r_min, r_max = sorted(draw(st.lists(
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                      exclude_max=True),
+            min_size=2, max_size=2, unique=True)))
+        fields.update(r_min=r_min, r_max=r_max)
+    if draw(st.booleans()):
+        n_min, n_max = sorted(draw(st.lists(st.integers(1, 50),
+                                            min_size=2, max_size=2)))
+        # whole floats are valid counts too
+        kind = draw(st.sampled_from([int, float]))
+        fields.update(n_min=kind(n_min), n_max=kind(n_max))
+    bounds = {}
+    for _ in range(draw(st.integers(1, 5))):
+        xi = (draw(positive), draw(st.floats(0.0, 1e300)))
+        r_left, r_right = sorted(draw(st.lists(
+            unit_interval, min_size=2, max_size=2, unique=True)))
+        c_left, c_right = sorted(draw(st.lists(
+            st.floats(0.0, 1e300), min_size=2, max_size=2, unique=True)))
+        bounds[xi] = IdealBounds(r_left, r_right, c_left, c_right)
+    return Dataset(spec=SystemSpec(**fields), bounds=bounds)
+
+
+@settings(max_examples=200)
+@given(datasets())
+def test_random_datasets_survive_the_cycle(ds):
+    text = dumps_dataset(ds)
+    again = loads_dataset(text)
+    assert specs_equal(ds.spec, again.spec)
+    assert again.bounds == ds.bounds
+    assert list(again.bounds) == list(ds.bounds)
+    assert dumps_dataset(again) == text
 
 
 def test_file_round_trip(tmp_path):

@@ -84,6 +84,36 @@ def test_constriction_vectorized_and_bounded():
     assert np.all(out <= 0.8)
 
 
+# one batch of draws on both sides of the threshold: with pulls of 2.05 the
+# combined pulls are 4.1, 4.0385, exactly 4, then six below 4; with 2.5 they
+# are 5, 4.925, 4.878, 2.5, 0, exactly 4, 4.25, 4.85 and 1.25
+CHI_OWN = [1.0, 0.99, 0.9756097560975611, 0.5, 0.0, 0.8, 1.0, 0.95, 0.3]
+CHI_OTHER = [1.0, 0.98, 0.9756097560975611, 0.5, 0.0, 0.8, 0.7, 0.99, 0.2]
+CHI_PINNED = {
+    (2.05, 0.7298): [0.5326399965760756, 0.5999640639359533] + [0.7298] * 7,
+    (2.05, 1.0): [0.7298437881283579, 0.8220938119155292] + [1.0] * 7,
+    (2.5, 0.7298): [0.27875879501032674, 0.2884932190464453,
+                    0.29500995769276717, 0.7298, 0.7298, 0.7298,
+                    0.4448946893030289, 0.29907421100002873, 0.7298],
+    (2.5, 1.0): [0.38196601125010515, 0.39530449307542515,
+                 0.4042339787513937, 1.0, 1.0, 1.0, 0.6096117967977924,
+                 0.40980297478765243, 1.0],
+    (2.05, 0.0): [0.0] * 9,
+    (2.5, 0.0): [0.0] * 9,
+}
+
+
+@pytest.mark.parametrize("pull,k", sorted(CHI_PINNED))
+def test_constriction_pinned_values(pull, k):
+    """Exact scales on a mixed batch, and the same value for each draw
+    pair passed as scalars."""
+    want = CHI_PINNED[(pull, k)]
+    out = constriction(k, pull, pull, np.array(CHI_OWN), np.array(CHI_OTHER))
+    assert out.tolist() == want
+    for u_own, u_other, value in zip(CHI_OWN, CHI_OTHER, want):
+        assert float(constriction(k, pull, pull, u_own, u_other)) == value
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------

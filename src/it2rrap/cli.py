@@ -400,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--seeds", default="0", help='e.g. "0,1,2" or "0-9"')
     solve.add_argument("--population", type=int, default=100)
     solve.add_argument("--iterations", type=int, default=100)
-    solve.add_argument("--grid-size", type=int, default=201)
+    solve.add_argument("--grid-size", type=int, default=201,
+                       help="points on each cost grid (default: 201)")
     solve.add_argument("--weight-formula",
                        choices=(WEIGHT_AS_WRITTEN, WEIGHT_DATASET_CONSISTENT),
                        default=WEIGHT_DATASET_CONSISTENT)

@@ -15,7 +15,7 @@ constraint violation, so each score depends on its row alone.  That lets a
 repeated candidate reuse its score: a feasible row whose decoded ``(r, n)``
 appears earlier in the same round or among the previous round's feasible
 rows takes the score already computed, which spares the GA the pipeline
-on 58% (parallel-series) and 61% (series-parallel) of its feasible rows
+on 57% (parallel-series) and 60% (series-parallel) of its feasible rows
 over seeds 0 and 1, mostly copied tournament winners.
 ``evaluations`` still counts every scored row, repeats included.
 """

@@ -11,11 +11,12 @@ Crisp reliability, cost, weight and volume of a candidate ``(r, n)`` follow
 the standard allocation model.  On top of the crisp values, the fuzzy
 pipeline turns each sub-system's reliability and cost into a randomised IT2
 triangular membership function, maps the reliability footprints through the
-layout formula by cutting them at a ladder of membership levels, takes the
-union of the cost footprints on a shared grid, type-reduces each aggregate
-and takes the centroid midpoint, yielding the defuzzified objective pair
-the optimizers score against.  Every step takes a batch of candidates, one
-per row; :func:`evaluate_objectives` is the batch of one.
+layout formula by cutting them at a ladder of membership levels and reduces
+the image from its cut ends, takes the union of the cost footprints on a
+grid and reduces it there, and takes the centroid midpoints, yielding the
+defuzzified objective pair the optimizers score against.  Every step takes
+a batch of candidates, one per row; :func:`evaluate_objectives` is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .typereduce import CentroidInterval, centroid_rows, defuzzify
+from .typereduce import (CentroidInterval, centroid_cuts, centroid_rows,
+                         defuzzify)
 
 __all__ = [
     "SERIES_PARALLEL",
@@ -317,9 +319,10 @@ def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
 # aggregation and the fuzzy objective pipeline
 # ---------------------------------------------------------------------------
 
-# Every (rows, m, grid) temporary of the pipeline holds at most this many
-# float64s (128 KiB): a whole round in one chunk peaked at 69-77 MB on a
-# grid-1601 series-parallel solve, against 36 MB with the cap.
+# Every (rows, m, cost grid) and (rows, m, 4, level) temporary of the
+# pipeline holds at most this many float64s (128 KiB): a whole round in one
+# chunk peaked at 69-77 MB on a grid-1601 series-parallel solve, against
+# 36 MB with the cap.
 _BLOCK_FLOATS = 16384
 # Freeing one 1 MiB block lifts glibc's mmap threshold to 1 MiB and its
 # trim threshold to 2 MiB, so the heap top a round frees stays for the next
@@ -359,75 +362,39 @@ def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
     return out
 
 
-def _spikes(upper: np.ndarray, grid: np.ndarray, apex) -> tuple:
-    """Index into ``upper`` of one unit spike per empty set: the grid point
-    nearest the set's apex, first on ties.  ``upper`` holds one set per
-    leading index on a ``grid`` that broadcasts against it; a set is empty
-    when its upper bound misses every grid point.  ``apex(sets)`` gives the
-    apexes of the sets picked by ``sets`` and runs only if some set is empty.
-    """
+def _spikes(upper: np.ndarray, grid: np.ndarray, apex: np.ndarray) -> tuple:
+    """Index into ``upper`` of one unit spike per empty stage cost set: the
+    point of its row's ``grid`` nearest its apex, first on ties.  ``upper``
+    and ``apex`` hold the sets, ``(rows, m, G)`` and ``(rows, m)``, and a set
+    is empty when its upper bound misses every point of its grid."""
     sets = np.nonzero(upper.max(axis=-1) <= 0.0)
-    nearest = sets[0]
-    if nearest.size:
-        grids = np.broadcast_to(grid, upper.shape)[sets]
-        nearest = np.argmin(np.abs(grids - apex(sets)[:, None]), axis=-1)
+    nearest = np.argmin(np.abs(grid[sets[0]] - apex[sets][:, None]), axis=-1)
     return *sets, nearest
 
 
-def _extension_bound(grid: np.ndarray, feet_left: np.ndarray, peaks: np.ndarray,
-                     feet_right: np.ndarray, topology: str,
-                     ladder: np.ndarray) -> np.ndarray:
-    """Membership, on ``grid``, of the layout image of each row's stage
-    triangles, shaped ``(rows, G)``.
+# The levels each reliability footprint is cut at.  Each doubling of the
+# ladder cuts the error of y_r fourfold; at 65 levels it was at most 4.8e-5
+# (series-parallel) and 1.8e-4 (parallel-series) from the value at 16,385
+# levels on 300 random in-box candidates per dataset.
+_LEVELS = np.linspace(0.0, 1.0, 65)
 
-    Each stage triangle (given by its feet and peak, ``(rows, m)`` each) is
-    cut at every ladder level; the layout formula maps the cut ends, and the
-    resulting envelope is read back as a membership curve over ``grid``.
-    Both mapped ends are monotone in the level, so linear interpolation
-    recovers the curve.
+
+def _extended_rel(rel: np.ndarray, topology: str) -> np.ndarray:
+    """Cut ends of each row's system reliability set at every level of
+    ``_LEVELS``, shaped ``(2, 2, rows, K)``: the (left, right) ends of the
+    lower membership, from the inner feet of ``rel`` (``(rows, m, 5)`` as
+    :func:`_fuzzify_arrays` builds it), then of the upper one.  Each stage
+    end is the peak moved towards its foot by the level's depth, and the
+    layout formula, increasing in every stage, maps the ends.  Every step
+    rounds monotonically, so the cuts are nested, the lower inside the
+    upper, and all hold the crisp system reliability, bit for bit.
     """
-    # both sides' cut ends at every level share one (rows, m, G) block
-    cut = (peaks - feet_left)[..., None] * ladder
-    cut += feet_left[..., None]
-    left = _system_from_stages(topology, cut, axis=-2)
-    np.multiply((feet_right - peaks)[..., None], ladder, out=cut)
-    np.subtract(feet_right[..., None], cut, out=cut)
-    right = _system_from_stages(topology, cut, axis=-2)
-    mu = np.empty_like(left)
-    for row in range(len(mu)):
-        rising = np.interp(grid, left[row], ladder, left=0.0, right=1.0)
-        falling = np.interp(grid, right[row, ::-1], ladder[::-1], left=1.0,
-                            right=0.0)
-        np.minimum(rising, falling, out=mu[row])
-    # normality: the apex images always carry full membership, even when a
-    # zero-width side makes one interpolation table a flat plateau
-    np.copyto(mu, 1.0, where=(grid == left[:, -1:]) | (grid == right[:, -1:]))
-    return mu
-
-
-def _extended_rel(rel: np.ndarray, topology: str,
-                  grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper membership of each row's system reliability set on
-    ``grid``, shaped ``(rows, G)``.
-
-    ``rel`` holds one footprint row per sub-system and candidate, shaped
-    ``(rows, m, 5)`` as built by :func:`_fuzzify_arrays`, and ``grid`` is
-    ``linspace(0, 1, G)``, which also serves as the ladder of membership
-    levels.  Both bounds come from :func:`_extension_bound`: the UMF from
-    the outer feet, the LMF from the inner ones.  A row whose footprint is
-    too narrow to touch any grid point becomes a unit spike (:func:`_spikes`)
-    at the image of its peaks, so zero-spread inputs stay within half a grid
-    cell of the crisp value.
-    """
-    upper = _extension_bound(grid, rel[..., 0], rel[..., 2], rel[..., 4],
-                             topology, grid)
-    lower = _extension_bound(grid, rel[..., 1], rel[..., 2], rel[..., 3],
-                             topology, grid)
-    np.minimum(lower, upper, out=lower)
-    spikes = _spikes(upper, grid, lambda sets: _system_from_stages(
-        topology, rel[sets[0], :, 2]))
-    upper[spikes] = lower[spikes] = 1.0
-    return lower, upper
+    peaks = rel[..., 2, None]
+    # all four feet's cut ends share one (rows, m, 4, K) block
+    cut = (rel[..., [1, 3, 0, 4]] - peaks)[..., None] * (1.0 - _LEVELS)
+    cut += peaks[..., None]
+    ends = _system_from_stages(topology, cut, axis=1)
+    return np.moveaxis(ends, 1, 0).reshape(2, 2, len(rel), _LEVELS.size)
 
 
 def _joined_cost(cost: np.ndarray,
@@ -442,7 +409,7 @@ def _joined_cost(cost: np.ndarray,
     vanishing.
     """
     uppers = _tri_rows(grid, cost[..., 0], cost[..., 2], cost[..., 4])
-    spikes = _spikes(uppers, grid[:, None], lambda sets: cost[..., 2][sets])
+    spikes = _spikes(uppers, grid, cost[..., 2])
     uppers[spikes] = 1.0
     upper = uppers.max(axis=-2)
     del uppers  # one (rows, m, G) block alive at a time
@@ -467,32 +434,30 @@ def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
     """Defuzzified reliability and cost objectives of each candidate row.
 
     ``r`` and ``n`` are ``(rows, m)`` in-box candidates and ``draws`` the
-    ``(m, 8)`` fuzzification uniforms they all share.  A row's objectives
-    depend on that row alone, so any batch gives the values each of its
-    rows gives on its own.  The rows go through in chunks that keep every
-    ``(rows, m, grid_size)`` temporary within ``_BLOCK_FLOATS``.
+    ``(m, 8)`` fuzzification uniforms they all share; only the cost is read
+    on a grid, of ``grid_size`` points.  A row's objectives depend on that
+    row alone, so any batch gives the values each of its rows gives on its
+    own.  The rows go through in chunks that keep every ``(rows, m, ...)``
+    temporary within ``_BLOCK_FLOATS``.
     """
     rel, cost, cost_hi = _fuzzify_arrays(spec, r, n, bounds, draws)
+    step = max(1, _BLOCK_FLOATS // (4 * spec.size * _LEVELS.size))
+    cuts = np.empty((2, 2, len(r), _LEVELS.size))
+    for start in range(0, len(r), step):
+        rows = slice(start, start + step)
+        cuts[:, :, rows] = _extended_rel(rel[rows], spec.topology)
+    y_r = defuzzify(CentroidInterval(*centroid_cuts(*cuts)))
     step = max(1, _BLOCK_FLOATS // (spec.size * grid_size))
-    # grids[0] holds the reliability grid on every row and grids[1] each
-    # row's cost grid, so one call type-reduces both sets of a chunk
-    rel_grid = np.linspace(0.0, 1.0, grid_size)
     ramp = np.arange(grid_size, dtype=float)
-    grids = np.empty((2, min(step, len(r)), grid_size))
-    grids[0] = rel_grid
-    objectives = np.empty((2, len(r)))
+    grids = np.empty((min(step, len(r)), grid_size))
+    y_c = np.empty(len(r))
     for start in range(0, len(r), step):
         rows = slice(start, start + step)
         hi = cost_hi[rows]
-        chunk = grids[:, :len(hi)]
-        _cost_grids(ramp, hi, out=chunk[1])
-        rel_lower, rel_upper = _extended_rel(rel[rows], spec.topology,
-                                             rel_grid)
-        cost_lower, cost_upper = _joined_cost(cost[rows], chunk[1])
-        objectives[:, rows] = defuzzify(CentroidInterval(*centroid_rows(
-            chunk, np.stack([rel_lower, cost_lower]),
-            np.stack([rel_upper, cost_upper]))))
-    return objectives[0], objectives[1]
+        grid = _cost_grids(ramp, hi, out=grids[:len(hi)])
+        y_c[rows] = defuzzify(CentroidInterval(*centroid_rows(
+            grid, *_joined_cost(cost[rows], grid))))
+    return y_r, y_c
 
 
 def _checked_int(name: str, value, least: int) -> int:
@@ -517,16 +482,16 @@ def evaluate_objectives(spec: SystemSpec, cand: Candidate, bounds: IdealBounds,
     """Defuzzified (reliability, cost) objective pair of one candidate.
 
     Runs the full fuzzy pipeline: draw one ``rng.random((m, 8))`` block,
-    fuzzify each sub-system, map the reliability footprints through the
-    layout formula by cutting them at a ladder of membership levels
+    fuzzify each sub-system, cut the reliability footprints at a ladder of
+    membership levels and map the cut ends through the layout formula
     (:func:`_extended_rel`), take the union of the cost footprints on a
-    shared grid (:func:`_joined_cost`), then type-reduce each aggregate and
-    return the centroid midpoints.  This is the one-row case of the batch
-    pipeline the solvers score whole populations with.
+    grid of ``grid_size`` points (:func:`_joined_cost`), then type-reduce
+    each aggregate and return the centroid midpoints.  This is the one-row
+    case of the batch pipeline the solvers score whole populations with.
 
-    Footprints too narrow to register on their grid are replaced by unit
-    spikes at the nearest grid point, so zero-spread anchors reproduce the
-    crisp metrics to within half a grid cell.
+    Zero-spread anchors give the crisp system reliability exactly.  Cost
+    footprints too narrow to register on their grid become unit spikes at
+    the nearest grid point, so their cost stays within half a grid cell.
     """
     grid_size = checked_grid_size(grid_size)
     validate_candidate(spec, cand)

@@ -1,4 +1,4 @@
-"""Type reduction of sampled IT2 membership functions.
+"""Type reduction of IT2 membership functions, sampled or given by cuts.
 
 The centroid of an interval type-2 set is itself an interval: every choice of
 a membership value between the lower and upper bound at each grid point gives
@@ -8,8 +8,9 @@ of those averages.  Its endpoints are attained by single-switch patterns
 ``k`` grid points and lower membership after them, the right endpoint the
 reverse.  :func:`centroid_rows` evaluates all ``N + 1`` patterns of each
 kind from four cumulative sums and takes the extreme averages, so the result
-is exact, costs O(N) and needs no iteration.  It reduces any number of sets
-at once, one per row.
+is exact, costs O(N) and needs no iteration.  :func:`centroid_cuts` needs
+no grid: it finds the continuous endpoints of sets given by their alpha-cuts
+as roots (Liu & Mendel 2011).  Both reduce any number of sets, one per row.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "CentroidInterval",
+    "centroid_cuts",
     "centroid_rows",
     "defuzzify",
 ]
@@ -81,6 +83,73 @@ def centroid_rows(grid: np.ndarray, lower: np.ndarray,
     right = np.divide(num, den, out=np.full_like(num, -np.inf),
                       where=den > 0).max(axis=-1)
     return left, right
+
+
+# The most Newton steps a row takes: a root where the mass vanishes (a
+# lower set without mass) is only approached, halving the distance a step.
+_MAX_STEPS = 60
+
+
+def _cut_moments(left: np.ndarray, right: np.ndarray,
+                 weights: np.ndarray) -> tuple:
+    """Moment and mass of sets given by cuts ``[left, right]`` along the
+    last axis: per row, the sums of ``(right**2 - left**2) / 2`` and of
+    ``right - left`` under ``weights``, each along its row alone."""
+    width = (right - left) * weights
+    return (width * (right + left)).sum(axis=-1) / 2.0, width.sum(axis=-1)
+
+
+def centroid_cuts(lower, upper) -> tuple[np.ndarray, np.ndarray]:
+    """Both continuous centroid endpoints of each IT2 set given by its cuts.
+
+    ``lower`` and ``upper`` are ``(left_ends, right_ends)`` pairs shaped
+    ``(..., K)``: each row's lower and upper membership cut at the levels
+    ``linspace(0, 1, K)``, nested, the lower inside the upper.  The left
+    endpoint is the root of ``g(y) = int_{x<=y} (x - y) U + int_{x>y}
+    (x - y) L``, the moment about ``y`` of the cuts clipped to their side
+    of ``y`` (trapezoid rule over the levels), and the right one of ``g``
+    with ``U`` and ``L`` swapped.  ``g'`` is minus the clipped mass, and
+    Newton's method from the centroid of ``U``, which lies between the
+    roots, moves monotonically onto each: ``g`` is concave for the left
+    endpoint and convex for the right.  A row stops when a step no longer
+    moves it, so its bits do not depend on its batch; a set without mass
+    keeps its one point.  Returns the endpoints, shaped ``(...)``.
+    """
+    count = upper[0].shape[-1]
+    weights = np.ones(count)
+    weights[[0, -1]] = 0.5
+    moment, mass = _cut_moments(*upper, weights)
+    start = np.divide(moment, mass, where=mass > 0,
+                      out=np.array(upper[1][..., 0], dtype=float))
+    weights = np.tile(weights, 2)
+    roots = []
+    for below, above, heading in ((upper, lower, -1.0), (lower, upper, 1.0)):
+        # per row the right ends of the set weighed below y and of the one
+        # weighed above it, then their left ends
+        ends = np.stack([below[1], above[1], below[0], above[0]], axis=-2)
+        ends = ends.reshape(-1, 2, 2, count)
+        y = start.flatten()
+        rows = np.arange(y.size)
+        for _ in range(_MAX_STEPS):
+            if not rows.size:
+                break
+            last = y[rows]
+            gap = ends - last[:, None, None, None]
+            np.minimum(gap[:, :, 0], 0.0, out=gap[:, :, 0])
+            np.maximum(gap[:, :, 1], 0.0, out=gap[:, :, 1])
+            gap = gap.reshape(len(rows), 2, 2 * count)
+            moment, mass = _cut_moments(gap[:, 1], gap[:, 0], weights)
+            step = last + np.divide(moment, mass, out=np.zeros_like(mass),
+                                    where=mass > 0)
+            moving = (step - last) * heading > 0
+            if not moving.all():
+                rows, ends, step = rows[moving], ends[moving], step[moving]
+            y[rows] = step
+        roots.append(y.reshape(start.shape))
+    left, right = roots
+    # the two ends of a type-1 set meet at one root, which rounding can
+    # leave an ulp out of order
+    return np.minimum(left, right), np.maximum(left, right)
 
 
 def defuzzify(ci: CentroidInterval) -> float:

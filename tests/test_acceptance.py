@@ -161,9 +161,9 @@ def test_criterion_06_crisp_collapse_recovers_crisp_reliability():
                                              zeros_rng(), grid_size=201)
             fit = scalarize(objectives, (1.0, 0.0), zero_spread)
             crisp = crisp_metrics(spec, cand).reliability
-            assert abs(fit - crisp) <= 1.0 / 200.0
+            assert fit == crisp
     _passed(6, "200 random candidates: zero-spread fitness with xi=(1,0) "
-               "matches crisp reliability within one grid cell")
+               "equals crisp reliability exactly")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Tests for the fuzzification layer: the footprint rows built from a
-candidate's crisp values, and the triangle sampler and cost union that put
-them on a grid."""
+candidate's crisp values, the triangle sampler and cost union that put the
+cost footprints on a grid, and the cut ends of the reliability image."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from it2rrap import (
     SystemSpec,
     bundled_dataset,
     crisp_metrics,
+    evaluate_objectives,
 )
 from it2rrap.sysmodel import (
     _extended_rel,
@@ -42,10 +43,11 @@ def fuzzify(spec, cand, bounds, rng):
     return rel[0], cost[0], float(cost_hi[0])
 
 
-def extended_rel(rel, topology, grid):
-    """Lower and upper reliability set of one candidate's footprint rows."""
-    lower, upper = _extended_rel(np.asarray(rel)[None], topology, grid)
-    return lower[0], upper[0]
+def extended_rel(rel, topology):
+    """Cut ends of one candidate's reliability set from its footprint rows,
+    ``((lower_left, lower_right), (upper_left, upper_right))`` shaped
+    ``(2, 2, K)``."""
+    return _extended_rel(np.asarray(rel, dtype=float)[None], topology)[:, :, 0]
 
 
 def joined_cost(cost, grid):
@@ -292,12 +294,15 @@ def test_generate_always_yields_valid_nested_triangles(case, r_left, r_right,
 
 
 # ---------------------------------------------------------------------------
-# the sampled system sets
+# the system sets
 # ---------------------------------------------------------------------------
 
 def test_sampled_validation():
-    """The system sets the pipeline type-reduces are valid sampled IT2 sets:
-    0 <= lower <= upper <= 1 at every grid point, with some upper mass."""
+    """The system sets the pipeline type-reduces are valid IT2 sets.  Each
+    sampled cost set has 0 <= lower <= upper <= 1 at every grid point and
+    some upper mass.  Each reliability set's cuts lie in [0, 1], are nested
+    level by level with the lower inside the upper, and all meet at the
+    crisp system reliability, bit for bit."""
     rng = np.random.default_rng(8)
     for name, dataset in _DATASETS.items():
         spec = dataset.spec
@@ -307,14 +312,24 @@ def test_sampled_validation():
                              rng.integers(spec.n_min, spec.n_max + 1,
                                           spec.size))
             rel, cost, cost_hi = fuzzify(spec, cand, bounds, rng)
-            sets = (extended_rel(rel, spec.topology, np.linspace(0, 1, 201)),
-                    joined_cost(cost, np.linspace(0.0, cost_hi, 201)))
-            for lower, upper in sets:
-                assert lower.shape == upper.shape == (201,)
-                assert np.all(lower >= 0.0), name
-                assert np.all(lower <= upper), name
-                assert np.all(upper <= 1.0), name
-                assert np.any(upper > 0.0), name
+            lower, upper = joined_cost(cost, np.linspace(0.0, cost_hi, 201))
+            assert lower.shape == upper.shape == (201,)
+            assert np.all(lower >= 0.0), name
+            assert np.all(lower <= upper), name
+            assert np.all(upper <= 1.0), name
+            assert np.any(upper > 0.0), name
+            (lo_left, lo_right), (up_left, up_right) = extended_rel(
+                rel, spec.topology)
+            assert np.all(0.0 <= up_left) and np.all(up_right <= 1.0), name
+            assert np.all(up_left <= lo_left), name
+            assert np.all(lo_left <= lo_right), name
+            assert np.all(lo_right <= up_right), name
+            for ends in (np.diff(up_left), np.diff(lo_left),
+                         -np.diff(lo_right), -np.diff(up_right)):
+                assert np.all(ends >= 0.0), name
+            crisp = crisp_metrics(spec, cand).reliability
+            apex = (lo_left[-1], lo_right[-1], up_left[-1], up_right[-1])
+            assert apex == (crisp,) * 4, name
 
 
 def test_set_algebra_properties():
@@ -339,13 +354,26 @@ def test_set_algebra_properties():
 
 def test_parallel_series_extension_is_complement_of_series():
     """De Morgan: the parallel-series image of footprints is the complement
-    of the series-parallel image of their complements, read on the mirrored
-    grid, with the lower and upper bounds keeping their roles."""
+    of the series-parallel image of their complements: at every level each
+    left cut end is one less the other image's right end, with the lower
+    and upper bounds keeping their roles."""
     rng = np.random.default_rng(31)
-    grid = np.linspace(0.0, 1.0, 401)
     for _ in range(20):
         rel = np.sort(rng.uniform(0.2, 0.95, (3, 5)), axis=1)
-        lower, upper = extended_rel(rel, PARALLEL_SERIES, grid)
-        lo_c, up_c = extended_rel(1.0 - rel[:, ::-1], SERIES_PARALLEL, grid)
-        assert np.allclose(lower, lo_c[::-1], rtol=0, atol=1e-9)
-        assert np.allclose(upper, up_c[::-1], rtol=0, atol=1e-9)
+        cuts = extended_rel(rel, PARALLEL_SERIES)
+        mirrored = extended_rel(1.0 - rel[:, ::-1], SERIES_PARALLEL)
+        assert np.allclose(cuts, 1.0 - mirrored[:, ::-1], rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_in_box(), _anchor_r, _anchor_r, st.floats(0.0, 1e4),
+       st.floats(0.0, 1e4))
+def test_reliability_objective_does_not_depend_on_the_grid(
+        case, r_left, r_right, c_left, c_right):
+    """y_r comes from the cut ends alone, so every grid gives the same bits;
+    only the cost objective is read on the grid."""
+    spec, cand, u = case
+    bounds = IdealBounds(r_left, r_right, c_left, c_right)
+    got = {evaluate_objectives(spec, cand, bounds, FixedDraws(u), grid)[0]
+           for grid in (2, 11, 201, 1601, 3201)}
+    assert len(got) == 1

@@ -25,6 +25,7 @@ from it2rrap import (
 )
 from it2rrap.optimizer import _CandidateScorer
 from it2rrap.sysmodel import _cost_grids, _cost_terms_matrix
+from it2rrap.typereduce import centroid_cuts
 from tests.draws import FixedDraws, zeros_rng
 from tests.test_fuzzy import extended_rel, fuzzify, joined_cost, sample
 
@@ -346,24 +347,32 @@ def random_footprint(rng, peak, spread_lo, spread_hi):
 
 
 def test_extend_single_stage_is_identity():
-    """With one stage the layout formula is the identity, so the extension
-    reproduces plain sampling of the footprint."""
+    """With one stage the layout formula is the identity, so the image's
+    cuts are the footprint's own: each end moves linearly from its foot at
+    level 0 to the peak at level 1."""
     rng = np.random.default_rng(7)
-    grid = np.linspace(0.0, 1.0, 201)
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
         for _ in range(10):
             row = random_footprint(rng, rng.uniform(0.4, 0.9), 0.05, 0.2)
-            out = extended_rel(np.array([row]), topology, grid)
-            assert np.allclose(out, sample(grid, row), rtol=0, atol=1e-12)
+            cuts = extended_rel(np.array([row]), topology)
+            levels = np.linspace(0.0, 1.0, cuts.shape[-1])
+
+            def cut(foot):
+                return foot + (row[2] - foot) * levels
+
+            want = [[cut(row[1]), cut(row[3])], [cut(row[0]), cut(row[4])]]
+            assert np.allclose(cuts, want, rtol=0, atol=1e-12)
 
 
 def test_extend_two_stage_product_matches_quadratic_inversion():
     """For two chained stages each flank of the image solves a quadratic in
-    the cut level; inverting it analytically reproduces the membership."""
+    the cut level; inverting it analytically at every cut end gives back
+    the level."""
     mf1 = (0.55, 0.6, 0.7, 0.78, 0.82)
     mf2 = (0.6, 0.65, 0.75, 0.8, 0.85)
-    grid = np.linspace(0.0, 1.0, 201)
-    lower, upper = extended_rel(np.array([mf1, mf2]), SERIES_PARALLEL, grid)
+    (lo_left, lo_right), (up_left, up_right) = extended_rel(
+        np.array([mf1, mf2]), SERIES_PARALLEL)
+    levels = np.linspace(0.0, 1.0, up_left.size)
 
     def rising_level(y, l1, p1, l2, p2):
         d1, d2 = p1 - l1, p2 - l2
@@ -375,90 +384,81 @@ def test_extend_two_stage_product_matches_quadratic_inversion():
         b, c = r1 * e2 + r2 * e1, r1 * r2 - y
         return (b - np.sqrt(b * b - 4 * e1 * e2 * c)) / (2 * e1 * e2)
 
-    for y in (0.35, 0.40, 0.45, 0.50):  # umf rising flank: (0.33, 0.525)
-        want = rising_level(y, mf1[0], mf1[2], mf2[0], mf2[2])
-        assert upper[round(y * 200)] == pytest.approx(want, abs=1e-4)
-    for y in (0.55, 0.60, 0.65):  # umf falling flank: (0.525, 0.697)
-        want = falling_level(y, mf1[4], mf1[2], mf2[4], mf2[2])
-        assert upper[round(y * 200)] == pytest.approx(want, abs=1e-4)
-    for y in (0.42, 0.48):  # lmf rising flank: (0.39, 0.525)
-        want = rising_level(y, mf1[1], mf1[2], mf2[1], mf2[2])
-        assert lower[round(y * 200)] == pytest.approx(want, abs=1e-4)
+    for got in (rising_level(up_left, mf1[0], mf1[2], mf2[0], mf2[2]),
+                falling_level(up_right, mf1[4], mf1[2], mf2[4], mf2[2]),
+                rising_level(lo_left, mf1[1], mf1[2], mf2[1], mf2[2]),
+                falling_level(lo_right, mf1[3], mf1[2], mf2[3], mf2[2])):
+        assert np.allclose(got, levels, rtol=0, atol=1e-9)
 
 
 def test_extend_parallel_series_two_stage_hand_case():
-    """Two redundant paths: the image support and apex are the mapped feet
-    and the crisp redundancy formula over the peaks."""
+    """Two redundant paths: the image's support and its inner feet are the
+    mapped feet, and every bound's top cut is the crisp redundancy formula
+    over the peaks."""
     rows = np.array([[0.3, 0.35, 0.4, 0.5, 0.55],
                      [0.45, 0.5, 0.6, 0.65, 0.7]])
-    grid = np.linspace(0.0, 1.0, 2001)
-    _, upper = extended_rel(rows, PARALLEL_SERIES, grid)
-    lo_foot = 1.0 - (1.0 - 0.3) * (1.0 - 0.45)   # 0.615
-    hi_foot = 1.0 - (1.0 - 0.55) * (1.0 - 0.7)   # 0.865
+    (lo_left, lo_right), (up_left, up_right) = extended_rel(rows,
+                                                            PARALLEL_SERIES)
+    feet = (1.0 - (1.0 - 0.3) * (1.0 - 0.45),    # 0.615
+            1.0 - (1.0 - 0.35) * (1.0 - 0.5),    # 0.675
+            1.0 - (1.0 - 0.5) * (1.0 - 0.65),    # 0.825
+            1.0 - (1.0 - 0.55) * (1.0 - 0.7))    # 0.865
     apex = 1.0 - (1.0 - 0.4) * (1.0 - 0.6)       # 0.76
-    occupied = grid[upper > 0]
-    assert occupied.min() >= lo_foot - 1e-12
-    assert occupied.max() <= hi_foot + 1e-12
-    inside = (grid > lo_foot + 1e-9) & (grid < hi_foot - 1e-9)
-    assert np.all(upper[inside] > 0)
-    assert grid[np.argmax(upper)] == pytest.approx(apex, abs=1.0 / 2000)
-    assert upper.max() == pytest.approx(1.0, abs=5e-3)
+    got = (up_left[0], lo_left[0], lo_right[0], up_right[0])
+    assert got == pytest.approx(feet, abs=1e-12)
+    tops = (up_left[-1], lo_left[-1], lo_right[-1], up_right[-1])
+    assert tops == pytest.approx((apex,) * 4, abs=1e-12)
 
 
-def test_extend_zero_spread_snaps_to_nearest_grid_point():
+def test_extend_zero_spread_is_the_crisp_image():
+    """Footprints of zero spread cut to their peaks at every level, so the
+    image is the crisp system reliability, bit for bit, and so are both
+    centroid endpoints."""
     spikes = np.array([[0.7003] * 5, [0.8001] * 5])
-    grid = np.linspace(0.0, 1.0, 201)
-    lower, upper = extended_rel(spikes, SERIES_PARALLEL, grid)
+    cuts = extended_rel(spikes, SERIES_PARALLEL)
     want = 0.7003 * 0.8001
-    idx = int(np.argmin(np.abs(grid - want)))
-    assert upper[idx] == 1.0
-    assert lower[idx] == 1.0
-    assert np.count_nonzero(upper) == 1
-    assert abs(grid[idx] - want) <= 0.5 / 200
+    assert np.all(cuts == want)
+    assert centroid_cuts(*cuts) == (want, want)
 
 
 def test_spikes_take_the_first_of_two_nearest_grid_points():
-    """A collapsed set whose apex lies exactly halfway between two grid
-    points spikes at the lower one, for both objectives."""
-    grid = np.linspace(0.0, 1.0, 5)
-    # series-parallel image 0.75 * 0.5 = 0.375, parallel-series image
-    # 1 - 0.5 * 0.75 = 0.625: both halfway between two quarter points
-    cases = ((SERIES_PARALLEL, [[0.75] * 5, [0.5] * 5], 1),
-             (PARALLEL_SERIES, [[0.5] * 5, [0.25] * 5], 2))
-    for topology, rows, index in cases:
-        lower, upper = extended_rel(np.array(rows), topology, grid)
+    """A collapsed cost set whose apex lies exactly halfway between two grid
+    points spikes at the lower one."""
+    grid = [0.0, 1.0, 2.0, 3.0, 4.0]
+    for apex, index in ((1.5, 1), (2.5, 2)):
+        lower, upper = joined_cost(np.array([[apex] * 5]), grid)
         assert np.array_equal(upper, np.eye(5)[index])
         assert np.array_equal(lower, np.eye(5)[index])
-    lower, upper = joined_cost(np.array([[1.5] * 5]), [0.0, 1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(upper, np.eye(5)[1])
-    assert np.array_equal(lower, np.eye(5)[1])
 
 
 def test_extend_is_order_invariant():
     rng = np.random.default_rng(13)
-    grid = np.linspace(0.0, 1.0, 201)
     rows = np.array([footprint(p, p - 0.1, min(1.0, p + 0.1), 1.0,
                                rng.random(4))
                      for p in rng.uniform(0.5, 0.9, 4)])
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
-        a = extended_rel(rows, topology, grid)
-        b = extended_rel(rows[::-1], topology, grid)
+        a = extended_rel(rows, topology)
+        b = extended_rel(rows[::-1], topology)
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_extend_bounds_are_unimodal_and_nested():
+    """Each bound's cuts are nested, the alpha-cut form of a unimodal
+    membership: left ends never fall and right ends never rise with the
+    level.  At every level the lower cut lies inside the upper one."""
     rng = np.random.default_rng(29)
-    grid = np.linspace(0.0, 1.0, 401)
     for topology in (SERIES_PARALLEL, PARALLEL_SERIES):
         for _ in range(10):
             rows = np.array([random_footprint(rng, p, 0.02, 0.15)
                              for p in rng.uniform(0.45, 0.95, 3)])
-            lower, upper = extended_rel(rows, topology, grid)
-            assert np.all(lower <= upper)
-            for side in (lower, upper):
-                k = int(np.argmax(side))
-                assert np.all(np.diff(side[: k + 1]) >= -1e-12)
-                assert np.all(np.diff(side[k:]) <= 1e-12)
+            (lo_left, lo_right), (up_left, up_right) = extended_rel(rows,
+                                                                    topology)
+            for left, right in ((lo_left, lo_right), (up_left, up_right)):
+                assert np.all(np.diff(left) >= 0.0)
+                assert np.all(np.diff(right) <= 0.0)
+                assert np.all(left <= right)
+            assert np.all(up_left <= lo_left)
+            assert np.all(lo_right <= up_right)
 
 
 def test_extend_validation():
@@ -476,62 +476,80 @@ def test_extend_validation():
 # ---------------------------------------------------------------------------
 
 # evaluate_objectives(spec, cand, bounds, default_rng(seed), grid) for seeds
-# 0-4.  The grid-201 values were recorded while a second, object-based
-# composition of the fuzzify / extend / union / type-reduce steps still
-# existed and agreed to 1e-12; the grid-1601 values (one row per chunk) and
-# the grid-2 values were recorded from the triangle sampler that selected
-# each side by explicit masks (tests.test_fuzzy.masked_tri_rows).
+# 0-4.  The y_c values at grid 201 were recorded while a second,
+# object-based composition of the fuzzify / union / type-reduce steps still
+# existed and agreed to 1e-12; those at grids 1601 (one row per chunk) and 2
+# were recorded from the triangle sampler that selected each side by
+# explicit masks (tests.test_fuzzy.masked_tri_rows).  The y_r values were
+# recorded from the cut-end centroid (centroid_cuts), which uses no grid,
+# so they repeat at every grid.
 GOLDEN_OBJECTIVES = {
-    ("sp", 201): [(0.5234615127859894, 169.36815518439863),
-                  (0.5471817775951878, 166.08823849121046),
-                  (0.5253986950935101, 160.43596044045398),
-                  (0.5551966482638803, 162.89622333264242),
-                  (0.5668090458311086, 160.41660549816015)],
-    ("ps", 201): [(0.8531524497790552, 59.37146114885482),
-                  (0.8846034292690765, 62.417867090587286),
-                  (0.8415506310454397, 67.44893143676731),
-                  (0.8816777727795788, 64.90110587533579),
-                  (0.8572085649562253, 62.72516486136549)],
-    ("sp", 1601): [(0.5233127299154536, 169.00029387364282),
-                   (0.5470232030406246, 165.76897370584047),
-                   (0.5252520468026372, 160.08751201551385),
-                   (0.5550833089484968, 162.5252715583901),
-                   (0.5666614941606966, 160.09667656195742)],
-    ("ps", 1601): [(0.8533106911247856, 59.39858813444789),
-                   (0.8846146077404755, 62.40136887625938),
-                   (0.8417357052202086, 67.46012288540821),
-                   (0.8816832380868493, 64.90364005519285),
-                   (0.8573190117129732, 62.730986412150585)],
-    # two points: each set's mass lands on a single grid point
-    ("sp", 2): [(1.0, 0.0)] * 5,
-    ("ps", 2): [(1.0, 0.0)] * 5,
+    ("sp", 201): [(0.523184332026144, 169.36815518439863),
+                  (0.5468963619058902, 166.08823849121046),
+                  (0.5251248981067045, 160.43596044045398),
+                  (0.5549651084441546, 162.89622333264242),
+                  (0.5665328616812909, 160.41660549816015)],
+    ("ps", 201): [(0.8533121039887186, 59.37146114885482),
+                  (0.8846082773105655, 62.417867090587286),
+                  (0.8417403946677731, 67.44893143676731),
+                  (0.8816782600456837, 64.90110587533579),
+                  (0.8573203038573243, 62.72516486136549)],
+    ("sp", 1601): [(0.523184332026144, 169.00029387364282),
+                   (0.5468963619058902, 165.76897370584047),
+                   (0.5251248981067045, 160.08751201551385),
+                   (0.5549651084441546, 162.5252715583901),
+                   (0.5665328616812909, 160.09667656195742)],
+    ("ps", 1601): [(0.8533121039887186, 59.39858813444789),
+                   (0.8846082773105655, 62.40136887625938),
+                   (0.8417403946677731, 67.46012288540821),
+                   (0.8816782600456837, 64.90364005519285),
+                   (0.8573203038573243, 62.730986412150585)],
+    # two points: the cost set's mass lands on a single grid point
+    ("sp", 2): [(0.523184332026144, 0.0),
+                (0.5468963619058902, 0.0),
+                (0.5251248981067045, 0.0),
+                (0.5549651084441546, 0.0),
+                (0.5665328616812909, 0.0)],
+    ("ps", 2): [(0.8533121039887186, 0.0),
+                (0.8846082773105655, 0.0),
+                (0.8417403946677731, 0.0),
+                (0.8816782600456837, 0.0),
+                (0.8573203038573243, 0.0)],
 }
 
 # the same candidates under draw blocks whose every uniform is exactly 0 or
 # 1, so feet sit on their anchors, on the peak (zero-width sides) or on the
 # ends of the support; each pattern is repeated for every stage, and the
-# values were recorded with the masked triangle sampler
+# values were recorded as above.  Pattern 1 makes every lower set a point
+# and every upper set the whole of [0, 1]: y_r is 0.5, the midpoint of the
+# upper support, which a lower set without mass leaves as the centroid.
 CORNER_DRAWS = ([0.0] * 8, [1.0] * 8, [0, 1, 1, 0, 1, 0, 0, 1],
                 [1, 0, 0, 1, 0, 1, 1, 0])
 GOLDEN_CORNER_OBJECTIVES = {
-    ("sp", 201): [(0.5057960524314317, 164.72268986384384),
-                  (0.5000000000001178, 276.49999999970566),
-                  (0.480026725574459, 178.4004627298915),
-                  (0.5050000000001178, 236.4074999985622)],
-    ("ps", 201): [(0.9189734176066386, 70.52414741814229),
-                  (0.49999999999999595, 89.99999999986863),
-                  (0.49999999999999084, 70.47838518281668),
-                  (0.9189739499352818, 73.27695736212581)],
-    ("sp", 1601): [(0.5059857607583274, 163.97850057953457),
-                   (0.49999999999540456, 276.4999999769996),
-                   (0.4798746413201148, 177.65080585539187),
-                   (0.5062499999954045, 235.19781252493215)],
-    ("ps", 1601): [(0.9189851809365863, 70.55950014783483),
-                   (0.4999999999999916, 89.99999999944974),
-                   (0.4999999999999208, 70.51847596540813),
-                   (0.918985770915423, 73.24314134185937)],
-    ("sp", 2): [(1.0, 0.0)] * 4,
-    ("ps", 2): [(1.0, 0.0)] * 4,
+    ("sp", 201): [(0.5058369021776061, 164.72268986384384),
+                  (0.5, 276.49999999970566),
+                  (0.47966321767553155, 178.4004627298915),
+                  (0.5062559685746746, 236.4074999985622)],
+    ("ps", 201): [(0.9189829930072533, 70.52414741814229),
+                  (0.5, 89.99999999986863),
+                  (0.5, 70.47838518281668),
+                  (0.9189835943717508, 73.27695736212581)],
+    ("sp", 1601): [(0.5058369021776061, 163.97850057953457),
+                   (0.5, 276.4999999769996),
+                   (0.47966321767553155, 177.65080585539187),
+                   (0.5062559685746746, 235.19781252493215)],
+    ("ps", 1601): [(0.9189829930072533, 70.55950014783483),
+                   (0.5, 89.99999999944974),
+                   (0.5, 70.51847596540813),
+                   (0.9189835943717508, 73.24314134185937)],
+    ("sp", 2): [(0.5058369021776061, 0.0),
+                (0.5, 0.0),
+                (0.47966321767553155, 0.0),
+                (0.5062559685746746, 0.0)],
+    ("ps", 2): [(0.9189829930072533, 0.0),
+                (0.5, 0.0),
+                (0.5, 0.0),
+                (0.9189835943717508, 0.0)],
 }
 
 _GOLDEN_CASES = {"sp": (sp_spec, sp_bounds, SP_REFERENCE),
@@ -578,12 +596,15 @@ def test_pipeline_is_deterministic_per_seed():
 
 
 def test_crisp_collapse_reproduces_crisp_reliability():
-    """Zero-spread fuzzification lands within half a grid cell of the crisp
-    system reliability (the collapsed set snaps to the nearest grid point)."""
+    """Zero-spread fuzzification gives the crisp system reliability exactly,
+    at every grid: the collapsed reliability set is the image of the peaks,
+    which no grid touches."""
     for spec, cand in ((sp_spec(), SP_REFERENCE), (ps_spec(), PS_REFERENCE)):
-        y_r, y_c = evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng())
-        assert y_r == pytest.approx(crisp_metrics(spec, cand).reliability,
-                                    abs=0.5 / 200 + 1e-12)
+        crisp = crisp_metrics(spec, cand).reliability
+        for grid in (2, 201, 1601):
+            assert evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng(),
+                                       grid)[0] == crisp
+        y_c = evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng())[1]
         # collapsed cost spikes snap per stage and stages in the same grid
         # cell merge under the union, so only containment is guaranteed
         terms = _cost_terms_matrix(spec, cand.r, cand.n)
@@ -593,34 +614,42 @@ def test_crisp_collapse_reproduces_crisp_reliability():
 
 # evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng(), grid) for the
 # reference candidate and the first five candidates of criterion 6
-# (default_rng(7)): every footprint is a single point, so each set is one
-# grid point
+# (default_rng(7)): every footprint is a single point, so y_r is the crisp
+# system reliability and each stage cost set is one grid point
 GOLDEN_COLLAPSED = {
-    ("sp", 201): [(0.87, 40.0925), (0.78, 110.90722222222223),
-                  (0.595, 17232.552293955607), (0.6, 34.908125),
-                  (0.385, 37.13), (0.22, 287.4114976155133)],
-    ("sp", 1601): [(0.8675, 39.876484375), (0.779375, 101.19899999999998),
-                   (0.595625, 11494.722381919504),
-                   (0.600625, 32.29673611111111),
-                   (0.385, 31.87430555555556),
-                   (0.218125, 194.62850664353832)],
-    ("ps", 201): [(0.85, 20.825), (0.99, 82.87705581057517),
-                  (0.87, 51.48181382836749), (1.0, 7116.481472136729),
-                  (0.9550000000000001, 113.79840441837618), (0.89, 23.8)],
-    ("ps", 1601): [(0.8512500000000001, 20.60625),
-                   (0.99, 82.63613413670721),
-                   (0.86875, 51.593536514626976),
-                   (1.0, 5695.140255036893),
-                   (0.956875, 92.53487785573935),
-                   (0.88875, 23.690625)],
+    ("sp", 201): [(0.8676118980512426, 40.0925),
+                  (0.7796338940992484, 110.90722222222223),
+                  (0.5957905333063769, 17232.552293955607),
+                  (0.6008790645462169, 34.908125),
+                  (0.3849420803292098, 37.13),
+                  (0.21821548875365254, 287.4114976155133)],
+    ("sp", 1601): [(0.8676118980512426, 39.876484375),
+                   (0.7796338940992484, 101.19899999999998),
+                   (0.5957905333063769, 11494.722381919504),
+                   (0.6008790645462169, 32.29673611111111),
+                   (0.3849420803292098, 31.87430555555556),
+                   (0.21821548875365254, 194.62850664353832)],
+    ("ps", 201): [(0.8514559218330687, 20.825),
+                  (0.9900757400339674, 82.87705581057517),
+                  (0.8687699871203481, 51.48181382836749),
+                  (0.9999948064284218, 7116.481472136729),
+                  (0.9568176557580897, 113.79840441837618),
+                  (0.8889322329617864, 23.8)],
+    ("ps", 1601): [(0.8514559218330687, 20.60625),
+                   (0.9900757400339674, 82.63613413670721),
+                   (0.8687699871203481, 51.593536514626976),
+                   (0.9999948064284218, 5695.140255036893),
+                   (0.9568176557580897, 92.53487785573935),
+                   (0.8889322329617864, 23.690625)],
 }
 
 
 @pytest.mark.parametrize("name,grid", list(GOLDEN_COLLAPSED),
                          ids=["sp", "sp-1601", "ps", "ps-1601"])
 def test_crisp_collapse_golden_values(name, grid):
-    """The spike each collapsed set lands on, pinned to the grid cell:
-    the tolerance checks above would pass a one-cell shift."""
+    """The spike each collapsed cost set lands on, pinned to the grid cell:
+    the containment check above would pass a one-cell shift.  Each y_r is
+    the candidate's crisp reliability."""
     make_spec, _, reference = _GOLDEN_CASES[name]
     spec = make_spec()
     rng = np.random.default_rng(7)
@@ -638,8 +667,7 @@ def test_crisp_collapse_single_subsystem_cost():
                       100.0, 100.0, 100.0)
     cand = Candidate([0.9], [2])
     y_r, y_c = evaluate_objectives(spec, cand, crisp_bounds(), zeros_rng())
-    assert y_r == pytest.approx(subsystem_reliability(SERIES_PARALLEL, 0.9, 2),
-                                abs=0.5 / 200 + 1e-12)
+    assert y_r == subsystem_reliability(SERIES_PARALLEL, 0.9, 2)
     # one stage: the snapped spike itself, within half a cost cell
     assert y_c == pytest.approx(67.47670278989535, abs=0.5 * 100.0 / 200 + 1e-9)
 

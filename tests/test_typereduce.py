@@ -1,4 +1,6 @@
-"""Tests for centroid type reduction against a linear-programming oracle."""
+"""Tests for centroid type reduction: the sampled reducer against a
+linear-programming oracle, and the cut-end reducer against the sampled one
+on a fine grid."""
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from it2rrap import CentroidInterval, centroid_rows, defuzzify
+from it2rrap.typereduce import centroid_cuts
 
 
 def lp_centroid(grid, lower, upper):
@@ -218,3 +221,99 @@ def test_centroid_brackets_upper_centroid_within_upper_support(s):
 
 def test_defuzzify_midpoint():
     assert defuzzify(CentroidInterval(0.2, 0.6)) == pytest.approx(0.4)
+
+
+# ---------------------------------------------------------------------------
+# the continuous centroid from cut ends
+# ---------------------------------------------------------------------------
+
+def sampled_from_cuts(x, levels, left, right):
+    """Membership on ``x`` of the set whose cuts at ``levels`` have the
+    ends ``left``/``right``, linear between levels."""
+    rising = np.interp(x, left, levels, left=0.0, right=1.0)
+    falling = np.interp(x, right[::-1], levels[::-1], left=1.0, right=0.0)
+    return np.minimum(rising, falling)
+
+
+def test_centroid_cuts_converges_to_the_sampled_centroid():
+    """On a ladder of 4097 levels the cut-end centroid of sets with curved
+    flanks equals, to 2e-6 of the support, the switch-point centroid of the
+    same sets sampled on 20001 points of their support."""
+    rng = np.random.default_rng(5)
+    levels = np.linspace(0.0, 1.0, 4097)
+    for _ in range(50):
+        up_foot, lo_foot, peak, lo_end, up_end = np.sort(
+            rng.uniform(-3.0, 3.0, 5))
+
+        def flank(foot):
+            return foot + (peak - foot) * levels ** rng.uniform(0.5, 2.0)
+
+        up_left, up_right = flank(up_foot), flank(up_end)
+        # the lower cuts kept inside the upper ones, level by level
+        lo_left = np.maximum(flank(lo_foot), up_left)
+        lo_right = np.minimum(flank(lo_end), up_right)
+        got = centroid_cuts((lo_left, lo_right), (up_left, up_right))
+        x = np.linspace(up_foot, up_end, 20001)
+        want = centroid_rows(x, sampled_from_cuts(x, levels, lo_left, lo_right),
+                             sampled_from_cuts(x, levels, up_left, up_right))
+        assert np.allclose(got, want, rtol=0, atol=2e-6 * (up_end - up_foot))
+
+
+_step = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def cut_sets(draw):
+    """``(lower, upper)`` cut ends of an IT2 set at 2 to 65 levels, each a
+    ``(left, right)`` pair: flanks with flat stretches, points and plateaus
+    on top, and a lower set anywhere from the top cut alone (no mass
+    without a plateau) to the upper set itself."""
+    count = draw(st.integers(2, 65))
+    apex = draw(st.floats(-100.0, 100.0))
+    top = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+
+    def flank():
+        steps = draw(st.lists(_step, min_size=count - 1, max_size=count - 1))
+        return np.append(np.cumsum(steps[::-1])[::-1], 0.0)
+
+    up_left, up_right = apex - flank(), apex + top + flank()
+    # the lower set: the upper one's cuts from ``shift`` levels higher,
+    # pulled towards the top cut by ``pull`` on each side
+    shift = draw(st.integers(0, count - 1))
+    higher = np.minimum(np.arange(count) + shift, count - 1)
+    pull = [draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+            for _ in range(2)]
+    lo_left = apex - pull[0] * (apex - up_left[higher])
+    lo_right = apex + top + pull[1] * (up_right[higher] - apex - top)
+    return (lo_left, lo_right), (up_left, up_right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_sets())
+def test_centroid_cuts_is_an_ordered_interval_inside_the_upper_support(s):
+    """Both endpoints lie within the upper support, left before right, for
+    sets without lower mass and for type-1 sets too, whose two ends meet."""
+    lower, upper = s
+    left, right = centroid_cuts(lower, upper)
+    assert upper[0][0] <= left <= right <= upper[1][0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut_sets())
+def test_centroid_cuts_of_a_type1_set_is_its_centroid(s):
+    """With equal bounds both endpoints are the set's centroid
+    ``int x mu / int mu``, taken over the levels by the trapezoid rule:
+    each cut of width ``r - l`` holds mass ``r - l`` with moment
+    ``(r**2 - l**2) / 2``."""
+    _, (left, right) = s
+    width = right - left
+    weights = np.ones(left.size)
+    weights[[0, -1]] = 0.5
+    mass = np.sum(weights * width)
+    got = centroid_cuts((left, right), (left, right))
+    if mass == 0.0:
+        assert got == (right[0], right[0])
+        return
+    want = np.sum(weights * width * (left + right) / 2.0) / mass
+    scale = np.max(np.abs(right)) + np.max(np.abs(left))
+    assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)

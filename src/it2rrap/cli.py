@@ -401,7 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--population", type=int, default=100)
     solve.add_argument("--iterations", type=int, default=100)
     solve.add_argument("--grid-size", type=int, default=201,
-                       help="points on each cost grid (default: 201)")
+                       help="points on each cost grid [0, max(cost_limit, "
+                            "c_right, dearest stage cost)] (default: 201)")
     solve.add_argument("--weight-formula",
                        choices=(WEIGHT_AS_WRITTEN, WEIGHT_DATASET_CONSISTENT),
                        default=WEIGHT_DATASET_CONSISTENT)

@@ -281,12 +281,12 @@ class _CandidateScorer:
     ``floor - violation``.  The floor is the fitness of ``y_r = 0`` and
     ``y_c = max(cost_limit, c_right)``, a lower bound on every feasible
     fitness: no stage of a feasible candidate costs more than the limit, so
-    its cost grid ends at or below that bound.  Feasible candidates thus
-    outrank infeasible ones, which rank by violation alone.  The
-    fuzzification uniforms are drawn once per run (from a stream separate
-    from the mover's) and shared by every evaluation, so each score is a
-    fixed function of its row and best scores cached by the searchers stay
-    comparable across rounds.
+    its cost grid ends exactly at that bound, and its ``y_c`` within it.
+    Feasible candidates thus outrank infeasible ones, which rank by
+    violation alone.  The fuzzification uniforms are drawn once per run
+    (from a stream separate from the mover's) and shared by every
+    evaluation, so each score is a fixed function of its row and best
+    scores cached by the searchers stay comparable across rounds.
 
     A feasible row runs the fuzzy pipeline only if its decoded ``(r, n)``
     is new: one that appears earlier in the same round, or among the

@@ -286,13 +286,12 @@ def _footprints(peak: np.ndarray, left, right, end,
 
 def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
                     bounds: IdealBounds, draws: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Footprint parameters of every sub-system of every candidate row.
 
     ``r`` and ``n`` hold one candidate per row, shaped ``(rows, m)``.
-    Returns ``(rel, cost, cost_hi)``: each parameter block is shaped
-    ``(rows, m, 5)`` with the columns (umf_left, lmf_left, peak, lmf_right,
-    umf_right), and ``cost_hi`` holds each row's upper end of its cost grid.
+    Returns ``(rel, cost)``, each shaped ``(rows, m, 5)`` with the columns
+    (umf_left, lmf_left, peak, lmf_right, umf_right).
 
     ``draws`` is one ``(m, 8)`` block of uniforms that every row shares, one
     row per sub-system: columns 0-3 shape the reliability footprint and 4-7
@@ -311,8 +310,7 @@ def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
                       bounds.r_left, bounds.r_right, 1.0, draws[:, :4])
     cost = _footprints(_cost_terms_matrix(spec, r, n), bounds.c_left,
                        bounds.c_right, spec.cost_limit, draws[:, 4:])
-    cost_hi = np.maximum(spec.cost_limit, np.max(cost[..., 4], axis=-1))
-    return rel, cost, cost_hi
+    return rel, cost
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +322,19 @@ def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
 # chunk peaked at 69-77 MB on a grid-1601 series-parallel solve, against
 # 36 MB with the cap.
 _BLOCK_FLOATS = 16384
+
 # Freeing one 1 MiB block lifts glibc's mmap threshold to 1 MiB and its
 # trim threshold to 2 MiB, so the heap top a round frees stays for the next
 # round: a seed-0 front took 560 minor faults with it and 51,700 without
 # (series-parallel PSO), and 575 against 84,500 (parallel-series GA).
 np.empty(1 << 20, dtype=np.uint8)
+
+
+def _chunks(rows: int, width: int) -> list[slice]:
+    """Slices over ``rows`` rows, each few enough that a temporary of
+    ``width`` floats per row stays within ``_BLOCK_FLOATS``."""
+    step = max(1, _BLOCK_FLOATS // width)
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
@@ -418,16 +424,6 @@ def _joined_cost(cost: np.ndarray,
     return lowers.max(axis=-2), upper
 
 
-def _cost_grids(ramp: np.ndarray, hi: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """Fill row ``i`` of ``out`` with ``np.linspace(0, hi[i], G)``, bit for
-    bit, from the ramp ``arange(G)``: like linspace, take each point as
-    ``ramp * (hi / (G - 1))`` and set the last one to ``hi``."""
-    np.multiply(ramp, (hi / (len(ramp) - 1))[:, None], out=out)
-    out[:, -1] = hi
-    return out
-
-
 def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
                     bounds: IdealBounds, draws: np.ndarray,
                     grid_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -440,21 +436,19 @@ def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
     own.  The rows go through in chunks that keep every ``(rows, m, ...)``
     temporary within ``_BLOCK_FLOATS``.
     """
-    rel, cost, cost_hi = _fuzzify_arrays(spec, r, n, bounds, draws)
-    step = max(1, _BLOCK_FLOATS // (4 * spec.size * _LEVELS.size))
+    rel, cost = _fuzzify_arrays(spec, r, n, bounds, draws)
     cuts = np.empty((2, 2, len(r), _LEVELS.size))
-    for start in range(0, len(r), step):
-        rows = slice(start, start + step)
+    for rows in _chunks(len(r), 4 * spec.size * _LEVELS.size):
         cuts[:, :, rows] = _extended_rel(rel[rows], spec.topology)
     y_r = defuzzify(CentroidInterval(*centroid_cuts(*cuts)))
-    step = max(1, _BLOCK_FLOATS // (spec.size * grid_size))
-    ramp = np.arange(grid_size, dtype=float)
-    grids = np.empty((min(step, len(r)), grid_size))
+    # the grid ends cover every cost foot, whatever the draws
+    hi = np.maximum(max(spec.cost_limit, bounds.c_right),
+                    cost[..., 2].max(axis=-1))
     y_c = np.empty(len(r))
-    for start in range(0, len(r), step):
-        rows = slice(start, start + step)
-        hi = cost_hi[rows]
-        grid = _cost_grids(ramp, hi, out=grids[:len(hi)])
+    for rows in _chunks(len(r), spec.size * grid_size):
+        # np.linspace(0, hi, grid_size) bit for bit, without its overhead
+        grid = np.arange(grid_size) * (hi[rows, None] / (grid_size - 1))
+        grid[:, -1] = hi[rows]
         y_c[rows] = defuzzify(CentroidInterval(*centroid_rows(
             grid, *_joined_cost(cost[rows], grid))))
     return y_r, y_c

@@ -85,8 +85,8 @@ def centroid_rows(grid: np.ndarray, lower: np.ndarray,
     return left, right
 
 
-# The most Newton steps a row takes: a root where the mass vanishes (a
-# lower set without mass) is only approached, halving the distance a step.
+# The most Newton steps a row takes, only a guard against looping: a lower
+# set with mass keeps the clipped mass positive at each root.
 _MAX_STEPS = 60
 
 
@@ -112,8 +112,9 @@ def centroid_cuts(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     Newton's method from the centroid of ``U``, which lies between the
     roots, moves monotonically onto each: ``g`` is concave for the left
     endpoint and convex for the right.  A row stops when a step no longer
-    moves it, so its bits do not depend on its batch; a set without mass
-    keeps its one point.  Returns the endpoints, shaped ``(...)``.
+    moves it, so its bits do not depend on its batch.  A row whose lower
+    support has no width starts on its roots, the upper support's ends, and
+    stops at once.  Returns the endpoints, shaped ``(...)``.
     """
     count = upper[0].shape[-1]
     weights = np.ones(count)
@@ -121,14 +122,16 @@ def centroid_cuts(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     moment, mass = _cut_moments(*upper, weights)
     start = np.divide(moment, mass, where=mass > 0,
                       out=np.array(upper[1][..., 0], dtype=float))
+    has_mass = lower[1][..., 0] > lower[0][..., 0]
     weights = np.tile(weights, 2)
     roots = []
-    for below, above, heading in ((upper, lower, -1.0), (lower, upper, 1.0)):
+    for below, above, heading, support in (
+            (upper, lower, -1.0, upper[0]), (lower, upper, 1.0, upper[1])):
         # per row the right ends of the set weighed below y and of the one
         # weighed above it, then their left ends
         ends = np.stack([below[1], above[1], below[0], above[0]], axis=-2)
         ends = ends.reshape(-1, 2, 2, count)
-        y = start.flatten()
+        y = np.where(has_mass, start, support[..., 0]).flatten()
         rows = np.arange(y.size)
         for _ in range(_MAX_STEPS):
             if not rows.size:

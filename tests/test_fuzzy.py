@@ -2,6 +2,8 @@
 candidate's crisp values, the triangle sampler and cost union that put the
 cost footprints on a grid, and the cut ends of the reliability image."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from it2rrap import (
     PARALLEL_SERIES,
     SERIES_PARALLEL,
+    WEIGHT_DATASET_CONSISTENT,
     Candidate,
     IdealBounds,
     SystemSpec,
@@ -16,12 +19,17 @@ from it2rrap import (
     crisp_metrics,
     evaluate_objectives,
 )
+from it2rrap import sysmodel
 from it2rrap.sysmodel import (
     _extended_rel,
     _fuzzify_arrays,
     _joined_cost,
+    _metrics_matrix,
+    _objective_rows,
     _tri_rows,
+    _violation_rows,
 )
+from it2rrap.typereduce import centroid_rows
 from tests.draws import FixedDraws, zeros_rng
 
 
@@ -37,10 +45,32 @@ def one_stage():
 
 def fuzzify(spec, cand, bounds, rng):
     """Footprint rows of one candidate from one ``rng.random((m, 8))``
-    block: ``(rel, cost, cost_hi)`` with ``(m, 5)`` parameter blocks."""
-    rel, cost, cost_hi = _fuzzify_arrays(spec, cand.r[None], cand.n[None],
-                                         bounds, rng.random((spec.size, 8)))
-    return rel[0], cost[0], float(cost_hi[0])
+    block and the end of its cost grid: ``(rel, cost, hi)`` with ``(m, 5)``
+    parameter blocks."""
+    rel, cost = _fuzzify_arrays(spec, cand.r[None], cand.n[None], bounds,
+                                rng.random((spec.size, 8)))
+    return rel[0], cost[0], grid_end(spec, bounds, cost[0])
+
+
+def grid_end(spec, bounds, cost):
+    """End of the cost grid of one candidate's footprint rows ``cost``: the
+    largest of the cost limit, the right cost anchor and the dearest
+    stage."""
+    return float(max(spec.cost_limit, bounds.c_right, cost[:, 2].max()))
+
+
+def pipeline_grids(spec, r, n, bounds, draws, grid_size):
+    """``_objective_rows`` of the rows ``(r, n)`` and the cost grid it
+    reduces each row on: ``(y_r, y_c, grids)``, grids ``(rows, G)``."""
+    grids = []
+
+    def spy(grid, lower, upper):
+        grids.append(grid.copy())
+        return centroid_rows(grid, lower, upper)
+
+    with mock.patch.object(sysmodel, "centroid_rows", spy):
+        y_r, y_c = _objective_rows(spec, r, n, bounds, draws, grid_size)
+    return y_r, y_c, np.concatenate(grids)
 
 
 def extended_rel(rel, topology):
@@ -197,7 +227,10 @@ def test_discretize_samples_pointwise():
 def test_discretize_requires_covering_grid():
     """The grids the pipeline samples on cover every footprint, so no
     membership mass falls outside them: reliability rows lie in [0, 1] and
-    cost rows in [0, cost_hi], even with a cost anchor above the limit."""
+    cost rows in [0, hi], even with a cost anchor above the limit.  A row
+    within the cost limit has its grid end at max(cost_limit, c_right), and
+    a row within all limits has 0 < y_c <= max(cost_limit, c_right), the
+    bound the scorer's floor rests on."""
     dataset = bundled_dataset("parallel-series")
     spec = dataset.spec
     rng = np.random.default_rng(5)
@@ -207,11 +240,28 @@ def test_discretize_requires_covering_grid():
             cand = Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
                              rng.integers(spec.n_min, spec.n_max + 1,
                                           spec.size))
-            rel, cost, cost_hi = fuzzify(spec, cand, bounds, rng)
+            rel, cost, hi = fuzzify(spec, cand, bounds, rng)
             assert np.all(rel[:, 0] >= 0.0) and np.all(rel[:, 4] <= 1.0)
             assert np.all(cost[:, 0] >= 0.0)
-            assert np.all(cost[:, 4] <= cost_hi)
-            assert cost_hi >= spec.cost_limit
+            assert np.all(cost[:, 4] <= hi)
+            assert hi >= spec.cost_limit
+    for name, dataset in _DATASETS.items():
+        spec = dataset.spec
+        for xi in dataset.weight_pairs:
+            bounds = dataset.bounds_for(xi)
+            r = rng.uniform(spec.r_min, spec.r_max, (400, spec.size))
+            n = rng.integers(spec.n_min, spec.n_max + 1, (400, spec.size))
+            _, y_c, grids = pipeline_grids(spec, r, n, bounds,
+                                           rng.random((spec.size, 8)), 201)
+            cost, weight, volume = _metrics_matrix(
+                spec, r, n, WEIGHT_DATASET_CONSISTENT)[1:]
+            top = max(spec.cost_limit, bounds.c_right)
+            cheap = cost <= spec.cost_limit
+            feasible = _violation_rows(spec, cost, weight, volume) == 0.0
+            assert cheap.sum() > feasible.sum() > 0, name
+            assert np.all(grids[cheap, -1] == top), name
+            assert np.all(y_c[feasible] > 0.0), name
+            assert np.all(y_c[feasible] <= top), name
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +278,11 @@ def test_generate_zero_draws_degenerates_to_type1():
 
 def test_generate_unit_draws_spans_support():
     spec, cand, bounds = one_stage()
-    rel, cost, cost_hi = fuzzify(spec, cand, bounds,
-                                         FixedDraws([1.0] * 8))
+    rel, cost, hi = fuzzify(spec, cand, bounds, FixedDraws([1.0] * 8))
     assert np.allclose(rel[0], [0.0, 0.8, 0.8, 0.8, 1.0])
     c = crisp_metrics(spec, cand).cost
     assert np.allclose(cost[0], [0.0, c, c, c, 50.0])
-    assert cost_hi == 50.0
+    assert hi == 50.0
 
 
 def test_generate_half_draws_hand_values():
@@ -283,14 +332,14 @@ def test_generate_always_yields_valid_nested_triangles(case, r_left, r_right,
     every footprint row is nested around its crisp peak."""
     spec, cand, u = case
     bounds = IdealBounds(r_left, r_right, c_left, c_right)
-    rel, cost, cost_hi = fuzzify(spec, cand, bounds, FixedDraws(u))
+    rel, cost, hi = fuzzify(spec, cand, bounds, FixedDraws(u))
     for rows in (rel, cost):
         assert np.all(rows[:, 0] <= rows[:, 1])
         assert np.all(rows[:, 1] <= rows[:, 2])
         assert np.all(rows[:, 2] <= rows[:, 3])
         assert np.all(rows[:, 3] <= rows[:, 4])
     assert np.all(rel[:, 0] >= 0.0) and np.all(rel[:, 4] <= 1.0)
-    assert np.all(cost[:, 0] >= 0.0) and np.all(cost[:, 4] <= cost_hi)
+    assert np.all(cost[:, 0] >= 0.0) and np.all(cost[:, 4] <= hi)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +360,8 @@ def test_sampled_validation():
             cand = Candidate(rng.uniform(spec.r_min, spec.r_max, spec.size),
                              rng.integers(spec.n_min, spec.n_max + 1,
                                           spec.size))
-            rel, cost, cost_hi = fuzzify(spec, cand, bounds, rng)
-            lower, upper = joined_cost(cost, np.linspace(0.0, cost_hi, 201))
+            rel, cost, hi = fuzzify(spec, cand, bounds, rng)
+            lower, upper = joined_cost(cost, np.linspace(0.0, hi, 201))
             assert lower.shape == upper.shape == (201,)
             assert np.all(lower >= 0.0), name
             assert np.all(lower <= upper), name

@@ -24,10 +24,11 @@ from it2rrap import (
     validate_candidate,
 )
 from it2rrap.optimizer import _CandidateScorer
-from it2rrap.sysmodel import _cost_grids, _cost_terms_matrix
+from it2rrap.sysmodel import _cost_terms_matrix
 from it2rrap.typereduce import centroid_cuts
 from tests.draws import FixedDraws, zeros_rng
-from tests.test_fuzzy import extended_rel, fuzzify, joined_cost, sample
+from tests.test_fuzzy import (extended_rel, fuzzify, joined_cost,
+                              pipeline_grids, sample)
 
 
 def sp_spec():
@@ -273,8 +274,7 @@ def test_fuzzify_matches_sequential_generation():
     each from its own row of draws, reliability before cost."""
     spec, bounds = sp_spec(), sp_bounds()
     cand = SP_REFERENCE
-    rel, cost, cost_hi = fuzzify(spec, cand, bounds,
-                                         np.random.default_rng(99))
+    rel, cost, hi = fuzzify(spec, cand, bounds, np.random.default_rng(99))
     draws = np.random.default_rng(99).random((spec.size, 8))
     stages = subsystem_reliability(spec.topology, cand.r, cand.n)
     terms = _cost_terms_matrix(spec, cand.r, cand.n)
@@ -289,7 +289,7 @@ def test_fuzzify_matches_sequential_generation():
         want = footprint(c, left, right, max(spec.cost_limit, right),
                          draws[i, 4:])
         assert np.array_equal(cost[i], want)
-    assert cost_hi == max(spec.cost_limit, cost[:, 4].max())
+    assert hi == max(spec.cost_limit, cost[:, 4].max())
 
 
 def test_fuzzify_clamps_peak_outside_anchors():
@@ -306,12 +306,12 @@ def test_fuzzify_supports_cost_anchor_above_limit():
     """A cost anchor beyond the cost limit stretches the support; the
     footprint must stay inside it instead of failing."""
     spec, bounds = ps_spec(), ps_bounds()  # c_right 180 > cost_limit 175
-    _, cost, cost_hi = fuzzify(spec, PS_REFERENCE, bounds,
-                                       np.random.default_rng(5))
+    _, cost, hi = fuzzify(spec, PS_REFERENCE, bounds,
+                          np.random.default_rng(5))
     # every cost term sits below the 180 anchor, so the clamped right end is
     # the anchor itself and the widened support pins the upper foot there
     assert np.all(cost[:, 4] == 180.0)
-    assert cost_hi == 180.0 > spec.cost_limit
+    assert hi == 180.0 > spec.cost_limit
 
 
 # ---------------------------------------------------------------------------
@@ -573,17 +573,19 @@ def test_pipeline_golden_values(name, grid):
 
 @pytest.mark.parametrize("size", [2, 3, 201, 1601])
 def test_cost_grids_equal_linspace(size):
-    """The ramp-built cost grids are np.linspace's points, bit for bit."""
+    """Each row's cost grid in the pipeline is np.linspace's points from 0
+    to its grid end, bit for bit, whichever chunk it falls in."""
     rng = np.random.default_rng(size)
-    hi = np.concatenate([[sp_spec().cost_limit, ps_spec().cost_limit],
-                         rng.uniform(1.0, 2000.0, 200),
-                         553.0 * (1.0 + rng.uniform(0.0, 1e-12, 20)),
-                         10.0 ** rng.uniform(-6.0, 6.0, 50)])
-    got = _cost_grids(np.arange(size, dtype=float), hi,
-                      np.empty((hi.size, size)))
-    want = np.linspace(0.0, hi, size, axis=-1)
-    assert np.array_equal(got, want)
-    assert not np.any(np.signbit(got))
+    for spec, bounds in ((sp_spec(), sp_bounds()), (ps_spec(), ps_bounds())):
+        r = rng.uniform(spec.r_min, spec.r_max, (40, spec.size))
+        n = rng.integers(spec.n_min, spec.n_max + 1, (40, spec.size))
+        draws = rng.random((spec.size, 8))
+        grids = pipeline_grids(spec, r, n, bounds, draws, size)[2]
+        for i in range(len(r)):
+            hi = fuzzify(spec, Candidate(r[i], n[i]), bounds,
+                         FixedDraws(draws.ravel()))[2]
+            assert np.array_equal(grids[i], np.linspace(0.0, hi, size))
+        assert not np.any(np.signbit(grids))
 
 
 def test_pipeline_is_deterministic_per_seed():

@@ -298,6 +298,22 @@ def test_centroid_cuts_is_an_ordered_interval_inside_the_upper_support(s):
     assert upper[0][0] <= left <= right <= upper[1][0]
 
 
+def test_centroid_cuts_without_lower_mass_spans_the_upper_support():
+    """A lower set without mass, here a point inside the upper triangle
+    (0, 0.5, 1), gives exactly the ends of the upper support, alone and
+    beside a row that has lower mass."""
+    levels = np.linspace(0.0, 1.0, 65)
+    upper = (0.5 * levels, 1.0 - 0.5 * levels)
+    point = (np.full(65, 0.5), np.full(65, 0.5))
+    assert centroid_cuts(point, upper) == (0.0, 1.0)
+    solid = (0.25 + 0.25 * levels, 0.75 - 0.25 * levels)
+    left, right = centroid_cuts(
+        (np.stack([point[0], solid[0]]), np.stack([point[1], solid[1]])),
+        (np.stack([upper[0]] * 2), np.stack([upper[1]] * 2)))
+    assert (left[0], right[0]) == (0.0, 1.0)
+    assert (left[1], right[1]) == centroid_cuts(solid, upper)
+
+
 @settings(max_examples=300, deadline=None)
 @given(cut_sets())
 def test_centroid_cuts_of_a_type1_set_is_its_centroid(s):

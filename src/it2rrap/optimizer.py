@@ -3,7 +3,9 @@
 Both searchers work on a continuous box: one coordinate per unit
 reliability followed by one per redundancy count.  Count coordinates are
 decoded by rounding halves up, so the box ``[n_min, n_max]`` maps onto the
-integer grid without bias at either edge.
+integer grid without bias at either edge.  ``swarm_solve`` and
+``genetic_solve`` share one body: a fresh scorer, that box, the searcher,
+and the searcher's best position decoded and scored into a ``RunResult``.
 
 Both score a whole round at once: the score function takes the round's
 ``(P, D)`` position matrix and returns ``P`` scores, and the searchers then
@@ -301,7 +303,6 @@ class _CandidateScorer:
         self.spec = spec
         self.bounds = bounds
         self.xi = checked_weights(xi)
-        self.seed = seed
         self.weight_variant = weight_variant
         self.fitness_mode = fitness_mode
         self.grid_size = checked_grid_size(grid_size)
@@ -360,13 +361,15 @@ class _CandidateScorer:
 class RunResult:
     """Outcome of one seeded search run.
 
-    ``best_candidate`` is the searcher's best: the best feasible allocation
-    found, or, when a run never evaluates a feasible candidate, the least
-    violating one, flagged by ``feasible``.  ``best_objectives`` holds the
-    type-reduced (reliability, cost) pair and is None for that fallback,
-    whose ``best_fitness`` is ``floor - violation`` (see
+    ``best_candidate`` is the searcher's best position, decoded: the best
+    feasible allocation found, or, when a run never evaluates a feasible
+    candidate, the least violating one, flagged by ``feasible``.
+    ``best_objectives`` holds its type-reduced (reliability, cost) pair,
+    scored once more outside ``evaluations``, and is None for that
+    fallback, whose ``best_fitness`` is ``floor - violation`` (see
     ``_CandidateScorer``).  ``trace`` is the searcher's best score after
-    each round, so ``trace[-1] == best_fitness``.
+    each round, so ``trace[-1] == best_fitness``; ``k_used`` is None for
+    the GA.
     """
 
     algorithm: str
@@ -385,35 +388,35 @@ class RunResult:
     trace: np.ndarray
 
 
-def _search_box(spec: SystemSpec) -> Tuple[np.ndarray, np.ndarray]:
-    m = spec.size
-    lower = np.concatenate([np.full(m, spec.r_min), np.full(m, spec.n_min)])
-    upper = np.concatenate([np.full(m, spec.r_max), np.full(m, spec.n_max)])
-    return lower, upper
-
-
-def _finish(algorithm: str, scorer: _CandidateScorer,
-            k_used: Optional[float], best_pos: np.ndarray, best_score: float,
-            trace: np.ndarray) -> RunResult:
-    """The run's result, read from the searcher's best position."""
+def _solve(algorithm: str, maximize: Callable, spec: SystemSpec,
+           bounds: IdealBounds, xi: Tuple[float, float], config,
+           weight_variant: str, fitness_mode: str,
+           grid_size: int) -> RunResult:
+    """One run of ``maximize`` on an allocation problem: a fresh scorer,
+    the box of unit reliabilities then counts, and the result read from the
+    best position.  The swarm's fourth return value is its ``k_used``."""
+    scorer = _CandidateScorer(spec, bounds, xi, config.seed, weight_variant,
+                              fitness_mode, grid_size)
+    lower = np.repeat([spec.r_min, spec.n_min], spec.size)
+    upper = np.repeat([spec.r_max, spec.n_max], spec.size)
+    best_pos, best_score, trace, *k_used = maximize(scorer, lower, upper,
+                                                    config)
     r, n, metrics, violation = scorer.decode(best_pos[None])
     feasible = bool(violation[0] == 0.0)
-    objectives = None
-    if feasible:
-        objectives = tuple(float(y[0]) for y in scorer.objectives(r, n))
     return RunResult(
         algorithm=algorithm,
-        seed=scorer.seed,
+        seed=config.seed,
         xi=scorer.xi,
-        weight_variant=scorer.weight_variant,
-        fitness_mode=scorer.fitness_mode,
+        weight_variant=weight_variant,
+        fitness_mode=fitness_mode,
         grid_size=scorer.grid_size,
-        k_used=k_used,
+        k_used=k_used[0] if k_used else None,
         evaluations=scorer.evaluations,
         feasible=feasible,
         best_candidate=Candidate(r[0], n[0]),
         best_metrics=MetricSet(*(float(values[0]) for values in metrics)),
-        best_objectives=objectives,
+        best_objectives=tuple(float(y[0]) for y in scorer.objectives(r, n))
+        if feasible else None,
         best_fitness=float(best_score),
         trace=trace,
     )
@@ -426,12 +429,8 @@ def swarm_solve(spec: SystemSpec, bounds: IdealBounds,
                 fitness_mode: str = FITNESS_NORMALIZED,
                 grid_size: int = 201) -> RunResult:
     """Run the swarm searcher on one allocation problem."""
-    scorer = _CandidateScorer(spec, bounds, xi, config.seed, weight_variant,
-                              fitness_mode, grid_size)
-    lower, upper = _search_box(spec)
-    best_pos, best_score, trace, k = swarm_maximize(scorer, lower, upper,
-                                                    config)
-    return _finish("swarm", scorer, k, best_pos, best_score, trace)
+    return _solve("swarm", swarm_maximize, spec, bounds, xi, config,
+                  weight_variant, fitness_mode, grid_size)
 
 
 def genetic_solve(spec: SystemSpec, bounds: IdealBounds,
@@ -441,9 +440,5 @@ def genetic_solve(spec: SystemSpec, bounds: IdealBounds,
                   fitness_mode: str = FITNESS_NORMALIZED,
                   grid_size: int = 201) -> RunResult:
     """Run the genetic searcher on one allocation problem."""
-    scorer = _CandidateScorer(spec, bounds, xi, config.seed, weight_variant,
-                              fitness_mode, grid_size)
-    lower, upper = _search_box(spec)
-    best_pos, best_score, trace = evolve_maximize(scorer, lower, upper,
-                                                  config)
-    return _finish("genetic", scorer, None, best_pos, best_score, trace)
+    return _solve("genetic", evolve_maximize, spec, bounds, xi, config,
+                  weight_variant, fitness_mode, grid_size)

@@ -1,5 +1,6 @@
 """Tests for the swarm and genetic maximizers and their solve wrappers."""
 
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -445,14 +446,134 @@ def test_solves_reject_bad_weights_before_searching(xi):
 
 def test_solve_echoes_configuration():
     spec, bounds = ps_problem()
-    res = swarm_solve(spec, bounds, (0.8, 0.2), SMALL_SWARM,
-                      weight_variant="as-written", fitness_mode="raw",
-                      grid_size=101)
-    assert res.xi == (0.8, 0.2)
-    assert res.weight_variant == "as-written"
-    assert res.fitness_mode == "raw"
-    assert res.grid_size == 101
-    assert res.seed == 0
+    for solve, config in ((swarm_solve, replace(SMALL_SWARM, seed=2)),
+                          (genetic_solve, replace(SMALL_GA, seed=2))):
+        res = solve(spec, bounds, (0.8, 0.2), config,
+                    weight_variant="as-written", fitness_mode="raw",
+                    grid_size=101)
+        assert res.xi == (0.8, 0.2)
+        assert res.weight_variant == "as-written"
+        assert res.fitness_mode == "raw"
+        assert res.grid_size == 101
+        assert res.seed == 2
+
+
+# Whole solves on both bundled datasets at weights (1, 1), population 12,
+# 8 rounds and grid 51.  Every field is compared exactly, so a change to
+# any draw, score or step of the result's assembly shows.
+GOLDEN_SOLVES = {
+    ("series-parallel", "pso", 0): dict(
+        feasible=True, best_fitness=0.5358496088164276,
+        trace=[0.3109420221581905, 0.36515965760622593, 0.4316896748818977,
+               0.5125153389727883, 0.535509125241167, 0.535509125241167,
+               0.5358496088164276, 0.5358496088164276],
+        r=[0.6794386441921868, 0.7889843475808979, 0.7172280643906709,
+           0.70727736321269, 0.7821821160138537, 0.8105163684079292,
+           0.7304274892051746, 0.6147336199055755, 0.7812546124967538,
+           0.8478005496695117],
+        n=[3, 3, 2, 3, 2, 3, 4, 4, 3, 3],
+        best_objectives=(0.48390286926327514, 170.82388310299177),
+        evaluations=96, k_used=0.6369616873214543),
+    ("series-parallel", "pso", 1): dict(
+        feasible=True, best_fitness=0.5417480385359054,
+        trace=[-5.636254767363136, 0.4279665094089285, 0.5099979314967312,
+               0.5305547646015327, 0.537611387937028, 0.537611387937028,
+               0.5388798288268695, 0.5417480385359054],
+        r=[0.81562745457175, 0.8132826379669243, 0.6730840500368072,
+           0.864146364319938, 0.8015106743720237, 0.8236115961183528,
+           0.8626407467648761, 0.6350230790976366, 0.8030559383757578,
+           0.7659915542025671],
+        n=[3, 2, 4, 2, 2, 3, 5, 3, 3, 3],
+        best_objectives=(0.48980329427296365, 170.82445093980155),
+        evaluations=96, k_used=0.5118216247002567),
+    ("series-parallel", "ga", 0): dict(
+        feasible=True, best_fitness=0.3140267124282309,
+        trace=[-9.438060765538063, -9.438060765538063, -9.438060765538063,
+               -9.438060765538063, -9.438060765538063, -9.438060765538063,
+               0.2157513334823706, 0.3140267124282309],
+        r=[0.7857643438350497, 0.66093437366858, 0.7971494207998182,
+           0.6689552748423411, 0.69580910864508, 0.7415037237084862,
+           0.6135785696090963, 0.8115929491558764, 0.5420075877758488,
+           0.9163212411825512],
+        n=[4, 2, 5, 1, 2, 2, 3, 4, 2, 1],
+        best_objectives=(0.2584931189579692, 169.80310543646738),
+        evaluations=89, k_used=None),
+    ("series-parallel", "ga", 1): dict(
+        feasible=True, best_fitness=0.4082423981225686,
+        trace=[0.31414892208793627, 0.31684428561221306, 0.31684428561221306,
+               0.3405856815406149, 0.3405856815406149, 0.3405856815406149,
+               0.35261922705637355, 0.4082423981225686],
+        r=[0.8301770299048812, 0.6227758880693215, 0.8842577309311282,
+           0.6058371596290126, 0.9156365860573958, 0.5313588985674615,
+           0.9127430812089645, 0.943865526629407, 0.6875731231013245,
+           0.6583687665403156],
+        n=[4, 3, 2, 4, 2, 3, 2, 1, 2, 2],
+        best_objectives=(0.36714440807995274, 173.91131333181985),
+        evaluations=89, k_used=None),
+    ("parallel-series", "pso", 0): dict(
+        feasible=True, best_fitness=0.8897452584726405,
+        trace=[-57.80036072808457, -39.93808815974862, -28.189530115265512,
+               -28.189530115265512, -23.514359109719237, 0.8498126343190975,
+               0.8897452584726405, 0.8897452584726405],
+        r=[0.5, 0.7703342574212523, 0.7529144163745846, 0.746282124095845,
+           0.8264167719057436],
+        n=[3, 3, 3, 1, 2],
+        best_objectives=(0.9121633812697396, 62.690174735651894),
+        evaluations=96, k_used=0.6369616873214543),
+    ("parallel-series", "pso", 1): dict(
+        feasible=True, best_fitness=0.9058065140239409,
+        trace=[-18.912439592635195, 0.8873479638053037, 0.8910565904544956,
+               0.8950688354912889, 0.8990395601031267, 0.9058065140239409,
+               0.9058065140239409, 0.9058065140239409],
+        r=[0.8018087239269392, 0.6063749998382936, 0.6582643680440396,
+           0.6126399067972991, 0.8309416244951038],
+        n=[1, 3, 2, 3, 3],
+        best_objectives=(0.9114926646825359, 60.682338079031396),
+        evaluations=96, k_used=0.5118216247002567),
+    ("parallel-series", "ga", 0): dict(
+        feasible=True, best_fitness=0.9141492050013519,
+        trace=[0.8716981847095323, 0.8716981847095323, 0.8716981847095323,
+               0.9052270115758445, 0.9060215565465417, 0.9060215565465417,
+               0.9141492050013519, 0.9141492050013519],
+        r=[0.5368581425958361, 0.63692427545068, 0.8596091671935973,
+           0.5292839588345624, 0.6680581941557696],
+        n=[1, 3, 4, 2, 1],
+        best_objectives=(0.9141106931664245, 59.995378579808715),
+        evaluations=89, k_used=None),
+    ("parallel-series", "ga", 1): dict(
+        feasible=True, best_fitness=0.9121689325503,
+        trace=[0.8345530015547238, 0.8353843587694445, 0.8353843587694445,
+               0.8715468199044822, 0.8719384562199101, 0.9121689325503,
+               0.9121689325503, 0.9121689325503],
+        r=[0.8301770299048812, 0.7690711184663259, 0.6648655285178295,
+           0.6058371596290126, 0.7924825392398989],
+        n=[1, 4, 2, 3, 2],
+        best_objectives=(0.9151487652100405, 60.35757991916886),
+        evaluations=89, k_used=None),
+}
+
+
+@pytest.mark.parametrize("name,algorithm,seed", list(GOLDEN_SOLVES))
+def test_solve_golden_values(name, algorithm, seed):
+    dataset = bundled_dataset(name)
+    xi = (1.0, 1.0)
+    if algorithm == "pso":
+        res = swarm_solve(dataset.spec, dataset.bounds_for(xi), xi,
+                          SwarmConfig(population=12, iterations=8, seed=seed),
+                          grid_size=51)
+    else:
+        res = genetic_solve(dataset.spec, dataset.bounds_for(xi), xi,
+                            GaConfig(population=12, generations=8, seed=seed),
+                            grid_size=51)
+    golden = GOLDEN_SOLVES[name, algorithm, seed]
+    assert res.feasible == golden["feasible"]
+    assert res.best_fitness == golden["best_fitness"]
+    assert res.trace.tolist() == golden["trace"]
+    assert res.best_candidate.r.tolist() == golden["r"]
+    assert res.best_candidate.n.tolist() == golden["n"]
+    assert res.best_objectives == golden["best_objectives"]
+    assert res.evaluations == golden["evaluations"]
+    assert res.k_used == golden["k_used"]
 
 
 def infeasible_problem():

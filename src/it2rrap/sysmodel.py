@@ -142,6 +142,11 @@ class Candidate:
     def __post_init__(self) -> None:
         self.r = np.asarray(self.r, dtype=float)
         n = np.asarray(self.n)
+        # NaN, inf and counts past the integer dtype would not survive a cast
+        info = np.iinfo(int)
+        if not np.all((n >= info.min) & (n < info.max + 1)):
+            raise ValueError("redundancy counts must be finite and fit "
+                             f"{np.dtype(int)}")
         if np.any(n != np.floor(n)):
             raise ValueError("redundancy counts must be integers")
         self.n = n.astype(int)
@@ -317,24 +322,18 @@ def _fuzzify_arrays(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
 # aggregation and the fuzzy objective pipeline
 # ---------------------------------------------------------------------------
 
-# Every (rows, m, cost grid) and (rows, m, 4, level) temporary of the
-# pipeline holds at most this many float64s (128 KiB): a whole round in one
-# chunk peaked at 69-77 MB on a grid-1601 series-parallel solve, against
-# 36 MB with the cap.
+# Each (rows, m, cost grid) temporary of the pipeline holds at most this
+# many float64s (128 KiB), the only temporaries that grow with the grid: a
+# whole round in one chunk peaked at 69-77 MB on a grid-1601
+# series-parallel solve, against 36 MB with the cap.
 _BLOCK_FLOATS = 16384
 
 # Freeing one 1 MiB block lifts glibc's mmap threshold to 1 MiB and its
-# trim threshold to 2 MiB, so the heap top a round frees stays for the next
-# round: a seed-0 front took 560 minor faults with it and 51,700 without
-# (series-parallel PSO), and 575 against 84,500 (parallel-series GA).
+# trim threshold to 2 MiB, so a round's blocks, the reliability ones of up
+# to 508 KiB included, come from the heap and its freed top stays for the
+# next round: a seed-0 front took 560 minor faults with it and 51,700
+# without (series-parallel PSO), and 575 against 84,500 (parallel-series GA).
 np.empty(1 << 20, dtype=np.uint8)
-
-
-def _chunks(rows: int, width: int) -> list[slice]:
-    """Slices over ``rows`` rows, each few enough that a temporary of
-    ``width`` floats per row stays within ``_BLOCK_FLOATS``."""
-    step = max(1, _BLOCK_FLOATS // width)
-    return [slice(start, start + step) for start in range(0, rows, step)]
 
 
 def _tri_rows(grid: np.ndarray, left: np.ndarray, peak: np.ndarray,
@@ -396,11 +395,12 @@ def _extended_rel(rel: np.ndarray, topology: str) -> np.ndarray:
     upper, and all hold the crisp system reliability, bit for bit.
     """
     peaks = rel[..., 2, None]
-    # all four feet's cut ends share one (rows, m, 4, K) block
-    cut = (rel[..., [1, 3, 0, 4]] - peaks)[..., None] * (1.0 - _LEVELS)
-    cut += peaks[..., None]
-    ends = _system_from_stages(topology, cut, axis=1)
-    return np.moveaxis(ends, 1, 0).reshape(2, 2, len(rel), _LEVELS.size)
+    ends = []
+    for foot in (1, 3, 0, 4):  # one (rows, m, K) block per foot
+        cut = (rel[..., foot, None] - peaks) * (1.0 - _LEVELS)
+        cut += peaks
+        ends.append(_system_from_stages(topology, cut, axis=1))
+    return np.stack(ends).reshape(2, 2, len(rel), _LEVELS.size)
 
 
 def _joined_cost(cost: np.ndarray,
@@ -433,25 +433,24 @@ def _objective_rows(spec: SystemSpec, r: np.ndarray, n: np.ndarray,
     ``(m, 8)`` fuzzification uniforms they all share; only the cost is read
     on a grid, of ``grid_size`` points.  A row's objectives depend on that
     row alone, so any batch gives the values each of its rows gives on its
-    own.  The rows go through in chunks that keep every ``(rows, m, ...)``
-    temporary within ``_BLOCK_FLOATS``.
+    own.  Reliability takes one pass; the cost goes in chunks of rows that
+    keep each ``(rows, m, grid_size)`` temporary within ``_BLOCK_FLOATS``.
     """
     rel, cost = _fuzzify_arrays(spec, r, n, bounds, draws)
-    cuts = np.empty((2, 2, len(r), _LEVELS.size))
-    for rows in _chunks(len(r), 4 * spec.size * _LEVELS.size):
-        cuts[:, :, rows] = _extended_rel(rel[rows], spec.topology)
-    y_r = defuzzify(CentroidInterval(*centroid_cuts(*cuts)))
+    y_r = defuzzify(CentroidInterval(
+        *centroid_cuts(*_extended_rel(rel, spec.topology))))
     # the grid ends cover every cost foot, whatever the draws
     hi = np.maximum(max(spec.cost_limit, bounds.c_right),
                     cost[..., 2].max(axis=-1))
-    y_c = np.empty(len(r))
-    for rows in _chunks(len(r), spec.size * grid_size):
+    ends = np.empty((2, len(r)))
+    step = max(1, _BLOCK_FLOATS // (spec.size * grid_size))
+    for start in range(0, len(r), step):
+        rows = slice(start, start + step)
         # np.linspace(0, hi, grid_size) bit for bit, without its overhead
         grid = np.arange(grid_size) * (hi[rows, None] / (grid_size - 1))
         grid[:, -1] = hi[rows]
-        y_c[rows] = defuzzify(CentroidInterval(*centroid_rows(
-            grid, *_joined_cost(cost[rows], grid))))
-    return y_r, y_c
+        ends[:, rows] = centroid_rows(grid, *_joined_cost(cost[rows], grid))
+    return y_r, defuzzify(CentroidInterval(*ends))
 
 
 def _checked_int(name: str, value, least: int) -> int:

@@ -29,7 +29,8 @@ from it2rrap.sysmodel import (
     _tri_rows,
     _violation_rows,
 )
-from it2rrap.typereduce import centroid_rows
+from it2rrap.typereduce import (CentroidInterval, centroid_cuts,
+                                centroid_rows, defuzzify)
 from tests.draws import FixedDraws, zeros_rng
 
 
@@ -114,6 +115,18 @@ def masked_tri_rows(grid, left, peak, right):
     np.copyto(out, desc, where=(g > pk) & (g < rt))
     np.copyto(out, 1.0, where=(g == pk))
     return out
+
+
+def single_block_extended_rel(rel, topology):
+    """Cut ends of each row's reliability set with all four feet in one
+    ``(rows, m, 4, K)`` block, the oracle for :func:`_extended_rel`, which
+    folds one ``(rows, m, K)`` block per foot."""
+    peaks = rel[..., 2, None]
+    depth = 1.0 - sysmodel._LEVELS
+    cut = (rel[..., [1, 3, 0, 4]] - peaks)[..., None] * depth
+    cut += peaks[..., None]
+    ends = sysmodel._system_from_stages(topology, cut, axis=1)
+    return np.moveaxis(ends, 1, 0).reshape(2, 2, len(rel), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -426,3 +439,29 @@ def test_reliability_objective_does_not_depend_on_the_grid(
     got = {evaluate_objectives(spec, cand, bounds, FixedDraws(u), grid)[0]
            for grid in (2, 11, 201, 1601, 3201)}
     assert len(got) == 1
+
+
+def test_population_batches_equal_rows_scored_alone():
+    """A 100-row batch, the size of a solver's round, gives each row's
+    objectives bit for bit as that row scored alone, at grid 201, whose
+    cost chunks hold 8 or 16 rows, and at 1601, whose chunks hold 1 or 2.
+    Its y_r is also the single-block cut oracle's, reduced in one call."""
+    rng = np.random.default_rng(14)
+    for name, dataset in _DATASETS.items():
+        spec = dataset.spec
+        bounds = dataset.bounds_for(dataset.weight_pairs[0])
+        r = rng.uniform(spec.r_min, spec.r_max, (100, spec.size))
+        n = rng.integers(spec.n_min, spec.n_max + 1, (100, spec.size))
+        draws = rng.random((spec.size, 8))
+        rel = _fuzzify_arrays(spec, r, n, bounds, draws)[0]
+        want_r = defuzzify(CentroidInterval(*centroid_cuts(
+            *single_block_extended_rel(rel, spec.topology))))
+        for grid_size in (201, 1601):
+            y_r, y_c = _objective_rows(spec, r, n, bounds, draws, grid_size)
+            assert np.array_equal(y_r, want_r), (name, grid_size)
+            alone = np.array([
+                _objective_rows(spec, r[i:i + 1], n[i:i + 1], bounds, draws,
+                                grid_size)
+                for i in range(len(r))])[..., 0]
+            assert np.array_equal(y_r, alone[:, 0]), (name, grid_size)
+            assert np.array_equal(y_c, alone[:, 1]), (name, grid_size)

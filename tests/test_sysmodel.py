@@ -135,6 +135,17 @@ def test_candidate_validation():
                                            [1] * 10))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("count", [float("inf"), 1e30, 2**64],
+                         ids=["inf", "1e30", "2**64"])
+def test_candidate_rejects_counts_the_integer_dtype_cannot_hold(count):
+    """A count that is not finite or past the integer dtype is refused
+    before the cast, which would otherwise warn and wrap it round (inf,
+    1e30) or overflow (2**64)."""
+    with pytest.raises(ValueError, match="must be finite and fit"):
+        Candidate([0.9] * 3, [count] * 3)
+
+
 # ---------------------------------------------------------------------------
 # crisp metrics against the bundled benchmark allocations
 # ---------------------------------------------------------------------------

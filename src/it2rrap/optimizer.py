@@ -18,7 +18,9 @@ repeated candidate reuse its score: a feasible row whose decoded ``(r, n)``
 appears earlier in the same round or among the previous round's feasible
 rows takes the score already computed, which spares the GA the pipeline
 on 57% (parallel-series) and 60% (series-parallel) of its feasible rows
-over seeds 0 and 1, mostly copied tournament winners.
+over seeds 0 and 1, mostly copied tournament winners.  PSO rows never
+repeat: over the same seeds none of the swarm's 84,882 (series-parallel)
+and 97,014 (parallel-series) feasible rows repeats an earlier one.
 ``evaluations`` still counts every scored row, repeats included.
 """
 

@@ -121,10 +121,24 @@ class SystemSpec:
                 raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.r_min < self.r_max < 1.0:
             raise ValueError("need 0 < r_min < r_max < 1")
-        if not (int(self.n_min) == self.n_min and int(self.n_max) == self.n_max):
-            raise ValueError("redundancy bounds must be integers")
+        # NaN, inf and bounds past the integer dtype would not survive a cast
+        info = np.iinfo(int)
+        if not all(info.min <= n <= info.max and n == math.floor(n)
+                   for n in (self.n_min, self.n_max)):
+            raise ValueError("redundancy bounds must be integers that fit "
+                             f"{np.dtype(int)}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError("need 1 <= n_min <= n_max")
+        # cost, weight and volume grow with r and n, so the corner
+        # (r_max, n_max) bounds them over the whole box
+        corner = (np.full(self.size, self.r_max),
+                  np.full(self.size, float(self.n_max)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dearest = [_metrics_matrix(self, *corner, variant)[1:]
+                       for variant in _WEIGHT_VARIANTS]
+        if not np.all(np.isfinite(dearest)):
+            raise ValueError("cost, weight and volume must be finite at the "
+                             "dearest corner (r_max, n_max)")
 
     @property
     def size(self) -> int:

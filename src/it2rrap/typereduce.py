@@ -9,8 +9,8 @@ of those averages.  Its endpoints are attained by single-switch patterns
 reverse.  :func:`centroid_rows` evaluates all ``N + 1`` patterns of each
 kind from four cumulative sums and takes the extreme averages, so the result
 is exact, costs O(N) and needs no iteration.  :func:`centroid_cuts` needs
-no grid: it finds the continuous endpoints of sets given by their alpha-cuts
-as roots (Liu & Mendel 2011).  Both reduce any number of sets, one per row.
+no grid: one Newton loop finds the continuous endpoints of sets given by
+their alpha-cuts as roots (Liu & Mendel 2011).  Both take one set per row.
 """
 
 from __future__ import annotations
@@ -111,7 +111,8 @@ def centroid_cuts(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     with ``U`` and ``L`` swapped.  ``g'`` is minus the clipped mass, and
     Newton's method from the centroid of ``U``, which lies between the
     roots, moves monotonically onto each: ``g`` is concave for the left
-    endpoint and convex for the right.  A row stops when a step no longer
+    endpoint and convex for the right.  One loop steps all roots, the left
+    heading down and the right up; a root stops when a step no longer
     moves it, so its bits do not depend on its batch.  A row whose lower
     support has no width starts on its roots, the upper support's ends, and
     stops at once.  Returns the endpoints, shaped ``(...)``.
@@ -122,34 +123,33 @@ def centroid_cuts(lower, upper) -> tuple[np.ndarray, np.ndarray]:
     moment, mass = _cut_moments(*upper, weights)
     start = np.divide(moment, mass, where=mass > 0,
                       out=np.array(upper[1][..., 0], dtype=float))
-    has_mass = lower[1][..., 0] > lower[0][..., 0]
+    # per row the left root, then the right one, each with the right ends of
+    # the set weighed below y and of the one above it, then their left ends
+    ends = np.stack([upper[1], lower[1], upper[0], lower[0],
+                     lower[1], upper[1], lower[0], upper[0]], axis=-2)
+    y = np.where(lower[1][..., :1] > lower[0][..., :1], start[..., None],
+                 ends[..., [2, 5], 0]).flatten()
+    ends = ends.reshape(-1, 2, 2, count)
     weights = np.tile(weights, 2)
-    roots = []
-    for below, above, heading, support in (
-            (upper, lower, -1.0, upper[0]), (lower, upper, 1.0, upper[1])):
-        # per row the right ends of the set weighed below y and of the one
-        # weighed above it, then their left ends
-        ends = np.stack([below[1], above[1], below[0], above[0]], axis=-2)
-        ends = ends.reshape(-1, 2, 2, count)
-        y = np.where(has_mass, start, support[..., 0]).flatten()
-        rows = np.arange(y.size)
-        for _ in range(_MAX_STEPS):
-            if not rows.size:
-                break
-            last = y[rows]
-            gap = ends - last[:, None, None, None]
-            np.minimum(gap[:, :, 0], 0.0, out=gap[:, :, 0])
-            np.maximum(gap[:, :, 1], 0.0, out=gap[:, :, 1])
-            gap = gap.reshape(len(rows), 2, 2 * count)
-            moment, mass = _cut_moments(gap[:, 1], gap[:, 0], weights)
-            step = last + np.divide(moment, mass, out=np.zeros_like(mass),
-                                    where=mass > 0)
-            moving = (step - last) * heading > 0
-            if not moving.all():
-                rows, ends, step = rows[moving], ends[moving], step[moving]
-            y[rows] = step
-        roots.append(y.reshape(start.shape))
-    left, right = roots
+    rows = np.arange(y.size)
+    buf = np.empty_like(ends)  # every step's gaps, in one block
+    for _ in range(_MAX_STEPS):
+        if not rows.size:
+            break
+        last = y[rows]
+        gap = np.subtract(ends, last[:, None, None, None], out=buf[:len(rows)])
+        np.minimum(gap[:, :, 0], 0.0, out=gap[:, :, 0])
+        np.maximum(gap[:, :, 1], 0.0, out=gap[:, :, 1])
+        gap = gap.reshape(len(rows), 2, 2 * count)
+        moment, mass = _cut_moments(gap[:, 1], gap[:, 0], weights)
+        step = last + np.divide(moment, mass, out=np.zeros_like(mass),
+                                where=mass > 0)
+        # even rows hold left roots, which head down, odd rows right ones
+        moving = (step - last) * (rows % 2 * 2 - 1) > 0
+        if not moving.all():
+            rows, ends, step = rows[moving], ends[moving], step[moving]
+        y[rows] = step
+    left, right = np.moveaxis(y.reshape(start.shape + (2,)), -1, 0)
     # the two ends of a type-1 set meet at one root, which rounding can
     # leave an ulp out of order
     return np.minimum(left, right), np.maximum(left, right)

@@ -182,15 +182,27 @@ positive = st.floats(min_value=0.0, max_value=1e300, exclude_min=True,
 unit_interval = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
+def below(top):
+    """Positive finite floats up to ``top``, subnormals included."""
+    return st.floats(min_value=0.0, max_value=top, exclude_min=True)
+
+
 @st.composite
 def datasets(draw):
     m = draw(st.integers(1, 12))
-    stage = st.lists(positive, min_size=m, max_size=m)
+
+    def stage(values):
+        return draw(st.lists(values, min_size=m, max_size=m))
+
+    # a spec whose dearest corner costs or weighs more than a float holds
+    # is refused, so mission time and cost curve stay below what gives
+    # (1e6 / 1.1e-16)**4 * 1e200 * 12 * (50 + exp(12.5)) < 1e295, and twelve
+    # stage weights of 1e300 at n = 50 weigh 1.6e308
     fields = dict(
         topology=draw(st.sampled_from([SERIES_PARALLEL, PARALLEL_SERIES])),
-        mission_hours=draw(positive | st.integers(1, 10 ** 6)),
-        alpha=draw(stage),
-        beta=draw(stage), weight=draw(stage), kappa=draw(stage),
+        mission_hours=draw(below(1e6) | st.integers(1, 10 ** 6)),
+        alpha=stage(below(1e200)), beta=stage(below(4.0)),
+        weight=stage(positive), kappa=stage(positive),
         weight_limit=draw(positive), volume_limit=draw(positive),
         cost_limit=draw(positive))
     # each optional key is either given or left at its default
@@ -226,6 +238,25 @@ def test_random_datasets_survive_the_cycle(ds):
     assert again.bounds == ds.bounds
     assert list(again.bounds) == list(ds.bounds)
     assert dumps_dataset(again) == text
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: SystemSpec(SERIES_PARALLEL, 1000.0, [2e-5], [1.5], [1.0], [1.0],
+                        100, 100, 100, n_max=float("inf")), "integers"),
+    (lambda: SystemSpec(SERIES_PARALLEL, 1000.0, [2e-5], [1.5], [1.0], [1.0],
+                        100, 100, 100, n_max=float("nan")), "integers"),
+    (lambda: loads_dataset(MINI + "n-max 1" + "0" * 30 + "\n"), "integers"),
+    (lambda: loads_dataset(MINI + "n-max 4000\n"), "dearest corner"),
+    (lambda: SystemSpec(SERIES_PARALLEL, 1000.0, [2e-5], [1e300], [1.0],
+                        [1.0], 100, 100, 100), "dearest corner"),
+], ids=["inf", "nan", "1e30-in-file", "4000-in-file", "steep-cost"])
+def test_redundancy_bounds_keep_the_box_finite(make, match):
+    """Redundancy bounds must be integers that fit the count dtype, and the
+    box's dearest corner ``(r_max, n_max)`` must have finite cost, weight
+    and volume: at ``n = 4000`` the factor ``exp(n / 4)`` overflows, and a
+    solve would record an infinite cost."""
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_file_round_trip(tmp_path):

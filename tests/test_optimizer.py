@@ -682,7 +682,8 @@ def scoring_cases(draw, zero_spread=True):
         mode = draw(st.sampled_from([FITNESS_NORMALIZED, FITNESS_RAW]))
     # a chunk holds 16384 // (m * grid) rows: at grids 2 and 11 a batch is
     # one chunk, at 201 a series-parallel batch of 9 or more rows splits,
-    # and at 1601 any batch of 3 or more rows does
+    # and at 1601 a series-parallel batch of 2 or more rows does (one row
+    # per chunk) and a parallel-series one of 3 or more
     grid_size = draw(st.sampled_from([2, 11, 201, 1601]))
     row = st.tuples(*([st.floats(spec.r_min, spec.r_max)] * spec.size
                       + [st.floats(spec.n_min, spec.n_max)] * spec.size))

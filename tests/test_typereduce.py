@@ -1,6 +1,6 @@
 """Tests for centroid type reduction: the sampled reducer against a
 linear-programming oracle, and the cut-end reducer against the sampled one
-on a fine grid."""
+on a fine grid and against a two-pass copy of itself."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from it2rrap import CentroidInterval, centroid_rows, defuzzify
-from it2rrap.typereduce import centroid_cuts
+from it2rrap import CentroidInterval, bundled_dataset, centroid_rows, defuzzify
+from it2rrap.sysmodel import _extended_rel, _fuzzify_arrays
+from it2rrap.typereduce import _MAX_STEPS, _cut_moments, centroid_cuts
 
 
 def lp_centroid(grid, lower, upper):
@@ -263,12 +264,13 @@ _step = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 
 
 @st.composite
-def cut_sets(draw):
-    """``(lower, upper)`` cut ends of an IT2 set at 2 to 65 levels, each a
-    ``(left, right)`` pair: flanks with flat stretches, points and plateaus
-    on top, and a lower set anywhere from the top cut alone (no mass
-    without a plateau) to the upper set itself."""
-    count = draw(st.integers(2, 65))
+def cut_sets(draw, count=None):
+    """``(lower, upper)`` cut ends of an IT2 set at ``count`` levels, or at
+    2 to 65, each a ``(left, right)`` pair: flanks with flat stretches,
+    points and plateaus on top, and a lower set anywhere from the top cut
+    alone (no mass without a plateau) to the upper set itself."""
+    if count is None:
+        count = draw(st.integers(2, 65))
     apex = draw(st.floats(-100.0, 100.0))
     top = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
 
@@ -333,3 +335,98 @@ def test_centroid_cuts_of_a_type1_set_is_its_centroid(s):
     want = np.sum(weights * width * (left + right) / 2.0) / mass
     scale = np.max(np.abs(right)) + np.max(np.abs(left))
     assert np.allclose(got, want, rtol=0, atol=1e-12 * scale)
+
+
+def two_pass_centroid_cuts(lower, upper):
+    """The oracle for :func:`centroid_cuts`: the same Newton iteration, run
+    once per endpoint, each pass over its own block of cut ends.  Returns
+    the left and right endpoints and, shaped ``(2, rows)``, the steps each
+    row's left and right root took, the last one that did not move
+    included."""
+    count = upper[0].shape[-1]
+    weights = np.ones(count)
+    weights[[0, -1]] = 0.5
+    moment, mass = _cut_moments(*upper, weights)
+    start = np.divide(moment, mass, where=mass > 0,
+                      out=np.array(upper[1][..., 0], dtype=float))
+    has_mass = lower[1][..., 0] > lower[0][..., 0]
+    weights = np.tile(weights, 2)
+    roots, steps = [], []
+    for below, above, heading, support in (
+            (upper, lower, -1.0, upper[0]), (lower, upper, 1.0, upper[1])):
+        ends = np.stack([below[1], above[1], below[0], above[0]], axis=-2)
+        ends = ends.reshape(-1, 2, 2, count)
+        y = np.where(has_mass, start, support[..., 0]).flatten()
+        rows = np.arange(y.size)
+        taken = np.zeros(y.size, dtype=int)
+        for _ in range(_MAX_STEPS):
+            if not rows.size:
+                break
+            taken[rows] += 1
+            last = y[rows]
+            gap = ends - last[:, None, None, None]
+            np.minimum(gap[:, :, 0], 0.0, out=gap[:, :, 0])
+            np.maximum(gap[:, :, 1], 0.0, out=gap[:, :, 1])
+            gap = gap.reshape(len(rows), 2, 2 * count)
+            moment, mass = _cut_moments(gap[:, 1], gap[:, 0], weights)
+            step = last + np.divide(moment, mass, out=np.zeros_like(mass),
+                                    where=mass > 0)
+            moving = (step - last) * heading > 0
+            if not moving.all():
+                rows, ends, step = rows[moving], ends[moving], step[moving]
+            y[rows] = step
+        roots.append(y.reshape(start.shape))
+        steps.append(taken)
+    left, right = roots
+    return np.minimum(left, right), np.maximum(left, right), np.array(steps)
+
+
+def assert_same_bits(got, want):
+    assert got[0].shape == want[0].shape
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_centroid_cuts_equals_the_two_pass_oracle_on_populations():
+    """A solver round's reliability sets, 100 random in-box rows per weight
+    pair of each bundled dataset, reduce bit for bit as the two-pass oracle
+    reduces them, and so do the same rows mixed with type-1 rows, rows
+    whose lower set has no mass and, each on its own, rows whose two roots
+    stop at different steps."""
+    rng = np.random.default_rng(15)
+    for name in ("series-parallel", "parallel-series"):
+        dataset = bundled_dataset(name)
+        spec = dataset.spec
+        for pair in dataset.weight_pairs:
+            r = rng.uniform(spec.r_min, spec.r_max, (100, spec.size))
+            n = rng.integers(spec.n_min, spec.n_max + 1, (100, spec.size))
+            rel = _fuzzify_arrays(spec, r, n, dataset.bounds_for(pair),
+                                  rng.random((spec.size, 8)))[0]
+            lower, upper = cuts = _extended_rel(rel, spec.topology)
+            *want, steps = two_pass_centroid_cuts(*cuts)
+            assert_same_bits(centroid_cuts(*cuts), want)
+            uneven = np.flatnonzero(steps[0] != steps[1])
+            assert uneven.size, (name, pair)
+            assert_same_bits(centroid_cuts(*cuts[:, :, uneven[0]]),
+                             [end[uneven[0]] for end in want])
+            # every third row type-1, every fifth lower set a point at the
+            # peak, which the top cut holds
+            mixed = lower.copy()
+            mixed[:, ::3] = upper[:, ::3]
+            mixed[:, ::5] = upper[0, ::5, -1:]
+            *want, steps = two_pass_centroid_cuts(mixed, upper)
+            assert np.all(steps[:, ::5] == 1), (name, pair)
+            assert_same_bits(centroid_cuts(mixed, upper), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 65).flatmap(
+    lambda count: st.lists(cut_sets(count), min_size=1, max_size=40)))
+def test_centroid_cuts_equals_the_two_pass_oracle_on_batches(sets):
+    """Batches of up to 40 cut sets on one ladder, any mix of the shapes
+    :func:`cut_sets` draws, reduce bit for bit as the two-pass oracle
+    reduces them."""
+    (lo_left, lo_right), (up_left, up_right) = (
+        [np.stack(ends) for ends in zip(*half)] for half in zip(*sets))
+    cuts = (lo_left, lo_right), (up_left, up_right)
+    assert_same_bits(centroid_cuts(*cuts), two_pass_centroid_cuts(*cuts))
